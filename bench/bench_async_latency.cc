@@ -43,29 +43,29 @@ int main() {
   // ---- latency under a reliable network -------------------------------------
   {
     System s(0.0);
-    s.nodes->Write(s.nodes->group()->SiteOfMember(2), 2, 0, s.Pat(1));
+    s.nodes->Write(s.nodes->group(0)->SiteOfMember(2), 0, 2, 0, s.Pat(1));
 
     TextTable t("Protocol-level operation latency, reliable network "
                 "(disk 30 ms, one-way link 22.5 ms)");
     t.SetHeader({"operation", "latency ms", "Fig. 4 additive cost ms"});
-    auto lr = s.nodes->Read(s.nodes->group()->SiteOfMember(2), 2, 0);
+    auto lr = s.nodes->Read(s.nodes->group(0)->SiteOfMember(2), 0, 2, 0);
     t.AddRow({"local read", FormatDouble(ToMillis(lr.latency), 1), "30"});
-    auto rr = s.nodes->Read(s.nodes->group()->SiteOfMember(3), 2, 0);
+    auto rr = s.nodes->Read(s.nodes->group(0)->SiteOfMember(3), 0, 2, 0);
     t.AddRow({"remote read", FormatDouble(ToMillis(rr.latency), 1), "75"});
-    auto w = s.nodes->Write(s.nodes->group()->SiteOfMember(2), 2, 0,
+    auto w = s.nodes->Write(s.nodes->group(0)->SiteOfMember(2), 0, 2, 0,
                             s.Pat(2));
     t.AddRow({"write (local + parity ack)",
               FormatDouble(ToMillis(w.latency), 1), "105"});
 
-    s.cluster->CrashSite(s.nodes->group()->SiteOfMember(2));
-    auto dr = s.nodes->Read(s.nodes->group()->SiteOfMember(0), 2, 0);
+    s.cluster->CrashSite(s.nodes->group(0)->SiteOfMember(2));
+    auto dr = s.nodes->Read(s.nodes->group(0)->SiteOfMember(0), 0, 2, 0);
     t.AddRow({"degraded read (reconstruct)",
               FormatDouble(ToMillis(dr.latency), 1), "600 work"});
     s.sim.Run();
-    auto dr2 = s.nodes->Read(s.nodes->group()->SiteOfMember(0), 2, 0);
+    auto dr2 = s.nodes->Read(s.nodes->group(0)->SiteOfMember(0), 0, 2, 0);
     t.AddRow({"degraded read (spare hit)",
               FormatDouble(ToMillis(dr2.latency), 1), "75"});
-    auto dw = s.nodes->Write(s.nodes->group()->SiteOfMember(0), 2, 0,
+    auto dw = s.nodes->Write(s.nodes->group(0)->SiteOfMember(0), 0, 2, 0,
                              s.Pat(3));
     t.AddRow({"degraded write (spare + parity)",
               FormatDouble(ToMillis(dw.latency), 1), "150 work"});
@@ -86,7 +86,7 @@ int main() {
     Stats lat;
     int ok = 0;
     for (int i = 0; i < 20; ++i) {
-      auto w = s.nodes->Write(s.nodes->group()->SiteOfMember(2), 2,
+      auto w = s.nodes->Write(s.nodes->group(0)->SiteOfMember(2), 0, 2,
                               static_cast<BlockNum>(i % 8), s.Pat(i));
       if (w.status.ok()) {
         ++ok;
@@ -94,7 +94,7 @@ int main() {
       }
     }
     s.sim.Run();
-    Status inv = s.nodes->group()->VerifyInvariants();
+    Status inv = s.nodes->group(0)->VerifyInvariants();
     t2.AddRow({FormatDouble(100 * drop, 0), std::to_string(ok) + "/20",
                FormatDouble(lat.Mean("w"), 1),
                FormatDouble(lat.Percentile("w", 95), 1),
@@ -130,11 +130,11 @@ int main() {
       } else {
         for (int m = 1; m < 10 && targets.size() < 8; ++m) {
           for (BlockNum i = 0;
-               i < s.nodes->group()->DataBlocksPerMember() &&
+               i < s.nodes->group(0)->DataBlocksPerMember() &&
                targets.size() < 8;
                ++i) {
-            BlockNum row = s.nodes->layout().DataToRow(m, i);
-            if (s.nodes->layout().ParitySite(row) == 0) {
+            BlockNum row = s.nodes->layout(0).DataToRow(m, i);
+            if (s.nodes->layout(0).ParitySite(row) == 0) {
               targets.push_back({m, i});
             }
           }
@@ -143,7 +143,7 @@ int main() {
       int done = 0;
       for (size_t k = 0; k < targets.size(); ++k) {
         auto [m, i] = targets[k];
-        s.nodes->AsyncWrite(s.nodes->group()->SiteOfMember(m), m, i,
+        s.nodes->AsyncWrite(s.nodes->group(0)->SiteOfMember(m), 0, m, i,
                             s.Pat(k), [&done](Status st, SimTime) {
                               if (st.ok()) ++done;
                             });

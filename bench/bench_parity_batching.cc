@@ -90,8 +90,8 @@ RunResult Run(const char* mode, bool batched) {
 
   // Hot set per member: the data indexes whose rows land on that member's
   // most common parity site, so one staging buffer sees all the traffic.
-  const PlacementMap& lay = sys.layout();
-  const BlockNum nblocks = sys.group()->DataBlocksPerMember();
+  const PlacementMap& lay = sys.layout(0);
+  const BlockNum nblocks = sys.group(0)->DataBlocksPerMember();
   std::vector<std::vector<BlockNum>> hot(kSites);
   for (int m = 0; m < kSites; ++m) {
     std::map<SiteId, std::vector<BlockNum>> buckets;
@@ -131,7 +131,8 @@ RunResult Run(const char* mode, bool batched) {
       rec[j] = static_cast<uint8_t>(m * 31 + seq * 7 + j);
     }
     (void)img.WriteAt(slot * 512, rec, len);
-    sys.AsyncWrite(sys.group()->SiteOfMember(m), m, hot[m][slot], Block(img),
+    sys.AsyncWrite(sys.group(0)->SiteOfMember(m), 0, m, hot[m][slot],
+                   Block(img),
                    [&, m](Status st, SimTime) {
                      if (st.ok()) {
                        ++completed;
@@ -159,7 +160,7 @@ RunResult Run(const char* mode, bool batched) {
   r.parity_bytes = ParityPathBytes(net.stats());
   r.frames = sys.stats().Get("node.batches_sent");
   r.staged = sys.stats().Get("node.parity_staged");
-  if (!sys.group()->VerifyInvariants().ok()) {
+  if (!sys.group(0)->VerifyInvariants().ok()) {
     std::fprintf(stderr, "FATAL: invariants violated in mode %s\n", mode);
     std::exit(1);
   }

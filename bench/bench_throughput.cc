@@ -95,8 +95,8 @@ int g_parities = 1;
 
 // Protocol-layer tuning shared by every simulator-driven mode; the disk
 // flags (--disk-read-ms, --disk-write-ms, --spindles, --disk-policy,
-// --cache-blocks) land here. Defaults leave the legacy serial disk clock
-// in place, so flag-free runs are bit-identical to earlier revisions.
+// --cache-blocks) land here. The defaults are the paper's §7.3 disk: one
+// serial FIFO spindle per site, 30 ms per request.
 NodeConfig g_node;
 
 int NumSites() { return kGroupSize + 1 + g_parities; }
@@ -199,7 +199,7 @@ ModeResult RunProtocol(const char* mode, bool batched) {
   const int kSites = NumSites();
   const int kPerMember = kOps / kSites;
   constexpr int kOutstanding = 4;
-  const BlockNum blocks = sys.group()->DataBlocksPerMember();
+  const BlockNum blocks = sys.group(0)->DataBlocksPerMember();
   Block payload(kBlockSize);
   double mb = 0;
   int completed = 0;
@@ -208,9 +208,9 @@ ModeResult RunProtocol(const char* mode, bool batched) {
     if (issued[m] >= kPerMember) return;
     const int i = issued[m]++;
     const BlockNum index = static_cast<BlockNum>(i) % blocks;
-    const SiteId site = sys.group()->SiteOfMember(m);
+    const SiteId site = sys.group(0)->SiteOfMember(m);
     if (i % 3 == 0) {
-      sys.AsyncRead(site, m, index,
+      sys.AsyncRead(site, 0, m, index,
                     [&, m](Status st, const Block& data, SimTime) {
                       if (st.ok()) mb += static_cast<double>(data.size()) / 1e6;
                       ++completed;
@@ -218,7 +218,7 @@ ModeResult RunProtocol(const char* mode, bool batched) {
                     });
     } else {
       payload.FillPattern(static_cast<uint64_t>(m * 1000 + i));
-      sys.AsyncWrite(site, m, index, payload, [&, m](Status st, SimTime) {
+      sys.AsyncWrite(site, 0, m, index, payload, [&, m](Status st, SimTime) {
         if (st.ok()) mb += static_cast<double>(kBlockSize) / 1e6;
         ++completed;
         issue(m);
@@ -251,13 +251,13 @@ ModeResult RunProtocolDegraded(const char* mode) {
   RaddNodeSystem sys(&sim, &net, &cluster, config, nc);
 
   const int home = 2;
-  const SiteId victim = sys.group()->SiteOfMember(home);
-  const SiteId client = sys.group()->SiteOfMember(0);
-  const BlockNum blocks = sys.group()->DataBlocksPerMember();
+  const SiteId victim = sys.group(0)->SiteOfMember(home);
+  const SiteId client = sys.group(0)->SiteOfMember(0);
+  const BlockNum blocks = sys.group(0)->DataBlocksPerMember();
   Block payload(kBlockSize);
   for (BlockNum i = 0; i < blocks; ++i) {
     payload.FillPattern(i);
-    sys.Write(victim, home, i, payload);
+    sys.Write(victim, 0, home, i, payload);
   }
   sim.Run();
   cluster.CrashSite(victim);
@@ -272,7 +272,7 @@ ModeResult RunProtocolDegraded(const char* mode) {
     const int i = issued++;
     const BlockNum index = static_cast<BlockNum>(i) % blocks;
     if (i % 3 == 0) {
-      sys.AsyncRead(client, home, index,
+      sys.AsyncRead(client, 0, home, index,
                     [&](Status st, const Block& data, SimTime latency) {
                       if (st.ok()) {
                         mb += static_cast<double>(data.size()) / 1e6;
@@ -283,7 +283,7 @@ ModeResult RunProtocolDegraded(const char* mode) {
                     });
     } else {
       payload.FillPattern(static_cast<uint64_t>(100000 + i));
-      sys.AsyncWrite(client, home, index, payload,
+      sys.AsyncWrite(client, 0, home, index, payload,
                      [&](Status st, SimTime) {
                        if (st.ok()) {
                          mb += static_cast<double>(kBlockSize) / 1e6;

@@ -119,10 +119,10 @@ int RunCacheSweep() {
     RaddNodeSystem sys(&sim, &net, &cluster, config, nc);
 
     Block b(kBlockSize);
-    for (int m = 0; m < sys.group()->num_members(); ++m) {
+    for (int m = 0; m < sys.group(0)->num_members(); ++m) {
       for (BlockNum i = 0; i < kBlocks; ++i) {
         b.FillPattern(uint64_t(m) * 1000 + i);
-        if (!sys.Write(sys.group()->SiteOfMember(m), m, i, b).status.ok()) {
+        if (!sys.Write(sys.group(0)->SiteOfMember(m), 0, m, i, b).status.ok()) {
           std::fprintf(stderr, "cache sweep: seed write failed\n");
           return 1;
         }
@@ -134,14 +134,14 @@ int RunCacheSweep() {
     int writes = 0;
     for (int i = 0; i < static_cast<int>(trace.size()); ++i) {
       const Operation& o = trace[size_t(i)];
-      const int m = o.member % sys.group()->num_members();
-      const SiteId home = sys.group()->SiteOfMember(m);
+      const int m = o.member % sys.group(0)->num_members();
+      const SiteId home = sys.group(0)->SiteOfMember(m);
       if (o.IsRead()) {
-        auto r = sys.Read(home, m, o.block);
+        auto r = sys.Read(home, 0, m, o.block);
         if (r.status.ok()) read_ms.push_back(ToMillis(r.latency));
       } else {
         b.FillPattern(uint64_t(i));
-        auto w = sys.Write(home, m, o.block, b);
+        auto w = sys.Write(home, 0, m, o.block, b);
         if (w.status.ok()) {
           write_total += ToMillis(w.latency);
           ++writes;

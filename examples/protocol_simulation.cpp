@@ -29,7 +29,9 @@ int main() {
   RaddNodeSystem radd(&sim, &net, &cluster, config);
 
   std::vector<SiteId> all_sites;
-  for (int m = 0; m < 10; ++m) all_sites.push_back(radd.group()->SiteOfMember(m));
+  for (int m = 0; m < 10; ++m) {
+    all_sites.push_back(radd.group(0)->SiteOfMember(m));
+  }
   HeartbeatDetector detector(&sim, &net, &cluster, all_sites);
   detector.Start();
   // Every protocol decision consults the detector instead of an oracle.
@@ -39,7 +41,7 @@ int main() {
 
   WorkloadConfig wc;
   wc.num_members = 10;
-  wc.blocks_per_member = radd.group()->DataBlocksPerMember();
+  wc.blocks_per_member = radd.group(0)->DataBlocksPerMember();
   wc.block_size = config.block_size;
   wc.read_fraction = 2.0 / 3.0;
   wc.zipf_theta = 0.6;
@@ -52,7 +54,7 @@ int main() {
       Operation op = gen.Next();
       // Plans run at the home site unless its peers believe it is down,
       // in which case the work migrates (§6).
-      SiteId home_site = radd.group()->SiteOfMember(op.member);
+      SiteId home_site = radd.group(0)->SiteOfMember(op.member);
       SiteId client = home_site;
       for (SiteId s : all_sites) {
         if (s != home_site && detector.Perceived(s, home_site) ==
@@ -62,7 +64,7 @@ int main() {
         }
       }
       if (op.IsRead()) {
-        auto r = radd.Read(client, op.member, op.block);
+        auto r = radd.Read(client, 0, op.member, op.block);
         r.status.ok() ? ++ok : ++failed;
         if (r.status.ok()) {
           latencies.Observe(std::string(label) + ".read",
@@ -71,7 +73,7 @@ int main() {
       } else {
         Block data(config.block_size);
         data.FillPattern(static_cast<uint64_t>(i));
-        auto w = radd.Write(client, op.member, op.block, data);
+        auto w = radd.Write(client, 0, op.member, op.block, data);
         w.status.ok() ? ++ok : ++failed;
         if (w.status.ok()) {
           latencies.Observe(std::string(label) + ".write",
@@ -94,22 +96,22 @@ int main() {
 
   std::printf("\nphase 2: site of member 3 crashes; the detector notices "
               "within a few heartbeats\n");
-  cluster.CrashSite(radd.group()->SiteOfMember(3));
+  cluster.CrashSite(radd.group(0)->SiteOfMember(3));
   sim.RunUntil(sim.Now() + Seconds(3));
   std::printf("detector verdict at site 0: member 3's site is %s\n",
               std::string(SiteStateName(detector.Perceived(
-                  all_sites[0], radd.group()->SiteOfMember(3)))).c_str());
+                  all_sites[0], radd.group(0)->SiteOfMember(3)))).c_str());
   run_ops(300, "degraded");
 
   std::printf("\nphase 3: repair, recovery sweep, back to normal\n");
-  cluster.RestoreSite(radd.group()->SiteOfMember(3));
+  cluster.RestoreSite(radd.group(0)->SiteOfMember(3));
   sim.RunUntil(sim.Now() + Seconds(5));  // drain in-flight traffic
-  Result<OpCounts> sweep = radd.group()->RunRecovery(3);
+  Result<OpCounts> sweep = radd.group(0)->RunRecovery(3);
   std::printf("recovery sweep: %s\n", sweep.status().ToString().c_str());
   run_ops(300, "after");
 
   sim.RunUntil(sim.Now() + Seconds(5));
-  Status inv = radd.group()->VerifyInvariants();
+  Status inv = radd.group(0)->VerifyInvariants();
   std::printf("\nfinal invariants: %s\n", inv.ToString().c_str());
   std::printf("network: %llu messages, %llu bytes, %llu dropped; "
               "%llu parity retransmits, %llu duplicates absorbed\n",

@@ -1,0 +1,90 @@
+#!/usr/bin/env bash
+# Checks that the working tree's simulated outputs are byte-identical to a
+# base revision's. Builds both trees in Release, runs every deterministic
+# bench, every example and the 200-seed chaos summary in each chaos mode,
+# and prints "identical" or "differs" per output.
+#
+# Usage: scripts/determinism.sh <base-ref> [work-dir]
+#   scripts/determinism.sh HEAD~1
+#   scripts/determinism.sh main /tmp/det     # keep builds and outputs
+#
+# The base is checked out in a git worktree under <work-dir> (default: a
+# fresh temporary directory) with its own build directory, never the
+# tracked tree's build/. Outputs land in <work-dir>/out/{base,head}/; diff
+# them to see what moved. Exits 1 when any output differs.
+set -euo pipefail
+
+if [ $# -lt 1 ]; then
+  echo "usage: $0 <base-ref> [work-dir]" >&2
+  exit 2
+fi
+base_ref="$1"
+work="${2:-$(mktemp -d)}"
+repo="$(cd "$(dirname "$0")/.." && pwd)"
+jobs="$(nproc)"
+mkdir -p "$work"
+work="$(cd "$work" && pwd)"
+
+base_tree="$work/base"
+if [ ! -d "$base_tree" ]; then
+  git -C "$repo" worktree add --quiet --detach "$base_tree" "$base_ref"
+fi
+trap 'git -C "$repo" worktree remove --force "$base_tree"' EXIT
+
+build() {  # build <src> <build-dir>; the log goes to <build-dir>.log
+  if ! { cmake -S "$1" -B "$2" -DCMAKE_BUILD_TYPE=Release &&
+         cmake --build "$2" -j"$jobs"; } >"$2.log" 2>&1; then
+    tail -20 "$2.log" >&2
+    echo "build of $1 failed; see $2.log" >&2
+    exit 1
+  fi
+}
+echo "building $base_ref and the working tree (Release)..."
+build "$base_tree" "$work/base-build"
+build "$repo" "$work/head-build"
+
+benches=(bench_fig3_opcounts bench_sec74_network bench_fig2_space
+         bench_fig4_numeric bench_ablation bench_fig1_layout
+         bench_sec34_recovery bench_async_latency)
+examples=(quickstart protocol_simulation disaster_recovery distributed_dbms
+          heterogeneous_sites scheme_comparison)
+chaos_names=(manual autopilot batch pq codec modeled-disk groups4-autopilot
+             declustered-expand)
+chaos_flags=(""
+             "--autopilot"
+             "--batch"
+             "--scheme pq"
+             "--codec"
+             "--spindles 4 --disk-policy deadline --cache-blocks 64"
+             "--groups 4 --autopilot"
+             "--layout declustered --sites 12 --expand")
+
+run_all() {  # run_all <build-dir> <out-dir>
+  local b="$1" out="$2"
+  mkdir -p "$out"
+  for x in "${benches[@]}"; do "$b/bench/$x" >"$out/$x.txt" 2>&1 || true; done
+  for x in "${examples[@]}"; do
+    "$b/examples/$x" >"$out/$x.txt" 2>&1 || true
+  done
+  for i in "${!chaos_names[@]}"; do
+    # shellcheck disable=SC2086  # the flags are a word list
+    "$b/tools/chaos_main" --seeds 200 --threads 4 ${chaos_flags[$i]} \
+      >"$out/chaos-${chaos_names[$i]}.txt" 2>&1 || true
+  done
+}
+run_all "$work/base-build" "$work/out/base"
+run_all "$work/head-build" "$work/out/head"
+
+status=0
+for f in "$work/out/base"/*.txt; do
+  name="$(basename "$f" .txt)"
+  if cmp -s "$f" "$work/out/head/$name.txt"; then
+    printf '%-28s identical\n' "$name"
+  else
+    printf '%-28s differs\n' "$name"
+    status=1
+  fi
+done
+grep -H "schedules held" "$work/out/head"/chaos-*.txt | sed "s|$work/out/||"
+echo "outputs: $work/out/{base,head}"
+exit "$status"

@@ -48,11 +48,11 @@ struct HeartbeatConfig {
 class HeartbeatDetector {
  public:
   /// `sites` lists the participating sites. The detector registers a
-  /// composite network handler per site; if the caller also handles
-  /// messages on these sites (e.g. RaddNodeSystem), construct the detector
-  /// AFTER that handler so it can chain: it only consumes messages of
+  /// composite network handler per site that only consumes messages of
   /// types "heartbeat" / "hb_probe" / "hb_probe_ack" and forwards
   /// everything else to the previously registered handler.
+  /// RaddNodeSystem chains the same way, so the two may be constructed in
+  /// either order.
   HeartbeatDetector(Simulator* sim, Network* net, Cluster* cluster,
                     std::vector<SiteId> sites,
                     const HeartbeatConfig& config = {});

@@ -3,7 +3,7 @@
 #include <cassert>
 
 #include "common/gf256.h"
-#include "disk/site_storage.h"
+#include "disk/block_cache.h"
 #include "net/transport.h"
 #include "net/wire.h"
 
@@ -35,11 +35,14 @@ struct RaddNodeSystem::Node {
   /// Per-site op-id counter for sharded runs (see NewOpId).
   uint64_t next_local_op = 1;
 
-  explicit Node(RaddNodeSystem* s, SiteId id) : sys(s), self(id) {}
+  Node(RaddNodeSystem* s, SiteId id)
+      : sys(s),
+        self(id),
+        disk(s->sim_, s->node_config_.disk, s->node_config_.disk_sched),
+        cache(s->node_config_.disk_sched.cache_blocks) {}
 
   Site* site() { return sys->cluster_->site(self); }
   BlockStore* store() { return site()->store(); }
-  const DiskModel& disk() const { return model; }
   Simulator* sim() { return sys->sim_; }
 
   /// This site's slice of each group it belongs to: member index and the
@@ -51,6 +54,13 @@ struct RaddNodeSystem::Node {
     BlockNum first_block = 0;
   };
   std::vector<Local> locals;
+
+  /// Re-reads this site's slice of group `g` from the group's membership.
+  void RefreshLocal(size_t g) {
+    const RaddGroup* group = sys->groups_[g].get();
+    const int m = group->MemberAtSite(self);
+    locals[g] = Local{m, m >= 0 ? group->FirstBlockOfMember(m) : 0};
+  }
 
   RaddGroup* grp(int g) { return sys->groups_[static_cast<size_t>(g)].get(); }
   const PlacementMap& lay(int g) { return grp(g)->layout(); }
@@ -89,59 +99,26 @@ struct RaddNodeSystem::Node {
     return Status::StaleEpoch(what);
   }
 
-  /// This site's effective disk latency model (the NodeConfig default or
-  /// its per-site override), set once at construction.
-  DiskModel model;
-  /// The modeled disk subsystem (spindle queues + block cache); null in
-  /// the default configuration, where the closed-form clock below stands
-  /// in — taking the exact legacy code path keeps the stock event
-  /// sequence bit-identical, not merely the completion times.
-  std::unique_ptr<SiteStorage> storage;
-  /// Legacy clock: the site's disk serves one request at a time,
-  /// operations queue behind each other (this is what makes parity-site
-  /// contention — the §2 striping argument — observable).
-  SimTime disk_free_at = 0;
+  /// The site's disk: spindle queues under the configured policy. The
+  /// default (one spindle, FIFO) serves one request at a time, so
+  /// operations queue behind each other — this is what makes parity-site
+  /// contention (the §2 striping argument) observable. A crash Resets it:
+  /// queued requests and in-flight completions die with the process.
+  DiskScheduler disk;
+  /// The site's §3.3-validated read cache; capacity 0 makes it a no-op.
+  /// Local writes insert through it and local mutations it cannot mirror
+  /// (spare records, parity masks, invalidations) evict eagerly; hits are
+  /// re-validated against the store anyway, so both only keep the hit
+  /// ratio up.
+  BlockCache cache;
   /// Gray-failure multiplier on disk service time (1 = healthy).
   uint32_t disk_slow = 1;
-  /// Bumped by ResetNodeVolatileState; disk completions queued before a
-  /// crash belong to the dead incarnation and must not touch the store.
-  uint64_t epoch = 0;
   /// Charges a disk I/O of `units` block operations of `kind` at `addr`
-  /// and runs `fn` when it completes. With modeled storage the request
-  /// joins its spindle's queue under `cls`; otherwise it serializes on
-  /// the closed-form site clock exactly as the pre-scheduler protocol
-  /// did (the class is then irrelevant — the clock is strict FIFO).
+  /// and runs `fn` when it completes; the request joins its spindle's
+  /// queue under `cls`.
   void ScheduleDisk(IoClass cls, IoKind kind, BlockNum addr, uint32_t units,
                     Simulator::Callback fn) {
-    auto guarded = [this, e = epoch, fn = std::move(fn)]() mutable {
-      if (e != epoch) return;
-      fn();
-    };
-    if (storage != nullptr) {
-      storage->Submit(cls, kind, addr, units, disk_slow,
-                      std::move(guarded));
-      return;
-    }
-    const SimTime latency =
-        (kind == IoKind::kRead ? model.read_latency : model.write_latency) *
-        static_cast<SimTime>(units);
-    SimTime start = std::max(sim()->Now(), disk_free_at);
-    disk_free_at = start + latency * disk_slow;
-    sim()->At(disk_free_at, std::move(guarded));
-  }
-
-  // --- block cache (modeled storage only) ---------------------------------
-  BlockCache* cache() { return storage ? storage->cache() : nullptr; }
-  /// Write-through: keep the cache coherent with a local write we just
-  /// performed (the entry is re-validated against the store on every hit
-  /// anyway; this only preserves hit ratio across our own writes).
-  void CacheUpdate(BlockNum addr, const Block& data, Uid uid) {
-    if (BlockCache* c = cache()) c->Insert(addr, data, uid);
-  }
-  /// Eager invalidation on local mutations the cache cannot mirror
-  /// (spare records, parity masks, invalidations).
-  void CacheInvalidate(BlockNum addr) {
-    if (BlockCache* c = cache()) c->Invalidate(addr);
+    disk.Submit(cls, kind, addr, units, disk_slow, std::move(fn));
   }
 
   /// Lock ids: inverted op ids so later ops always wait (single-block
@@ -199,30 +176,28 @@ struct RaddNodeSystem::Node {
     }
     const BlockNum prow = phys(req.group, req.row);
     WithLock(req.op, prow, LockMode::kShared, [this, req, from, prow]() {
-      if (BlockCache* c = cache()) {
-        if (const BlockCache::Entry* e = c->Lookup(prow)) {
-          // §3.3 rule: a hit is served only when the cached UID still
-          // matches the store's current record — the same UID-agreement
-          // test recovery uses. UIDs name writes, so a match means the
-          // cached bytes are the last write's bytes even if rebuilds or
-          // drains touched the store behind us. The Peek is metadata-only
-          // (the paper's free buffered check) and costs no disk time.
-          Result<BlockRecord> cur = store()->Peek(prow);
-          if (cur.ok() && cur->uid.valid() && cur->uid == e->uid) {
-            c->CountHit();
-            ReadReply rep;
-            rep.op = req.op;
-            rep.status = Status::OK();
-            rep.data = e->data;
-            rep.uid = e->uid;
-            Unlock(req.op, prow);
-            size_t wire = rep.data.size();
-            Send(from, MessageType::kReadReply, std::move(rep), wire);
-            return;
-          }
-          c->CountStale();
-          c->Invalidate(prow);
+      if (const BlockCache::Entry* e = cache.Lookup(prow)) {
+        // §3.3 rule: a hit is served only when the cached UID still
+        // matches the store's current record — the same UID-agreement
+        // test recovery uses. UIDs name writes, so a match means the
+        // cached bytes are the last write's bytes even if rebuilds or
+        // drains touched the store behind us. The Peek is metadata-only
+        // (the paper's free buffered check) and costs no disk time.
+        Result<BlockRecord> cur = store()->Peek(prow);
+        if (cur.ok() && cur->uid.valid() && cur->uid == e->uid) {
+          cache.CountHit();
+          ReadReply rep;
+          rep.op = req.op;
+          rep.status = Status::OK();
+          rep.data = e->data;
+          rep.uid = e->uid;
+          Unlock(req.op, prow);
+          size_t wire = rep.data.size();
+          Send(from, MessageType::kReadReply, std::move(rep), wire);
+          return;
         }
+        cache.CountStale();
+        cache.Invalidate(prow);
       }
       ScheduleDisk(IoClass::kForeground, IoKind::kRead, prow, 1,
                    [this, req, from, prow]() {
@@ -236,7 +211,7 @@ struct RaddNodeSystem::Node {
           // Fill on read: plain valid data blocks only (spare records
           // carry bookkeeping the cache does not model).
           if (rep.uid.valid() && rec->spare_for < 0) {
-            CacheUpdate(prow, rep.data, rep.uid);
+            cache.Insert(prow, rep.data, rep.uid);
           }
         } else {
           rep.status = rec.status();
@@ -431,7 +406,7 @@ struct RaddNodeSystem::Node {
                       WriteReply{req.op, st});
         return;
       }
-      CacheUpdate(prow, req.data, uid);
+      cache.Insert(prow, req.data, uid);
       Result<ChangeMask> mask = ChangeMask::Diff(old_value, req.data);
       sys->arena_.Return(std::move(old_value));
       // The payload outlives the local write: until the parity ack the
@@ -479,7 +454,7 @@ struct RaddNodeSystem::Node {
             }
             if (clobbered) {
               (void)store()->Write(prow, *payload, uid);
-              CacheUpdate(prow, *payload, uid);
+              cache.Insert(prow, *payload, uid);
               sys->stats_.Add("node.write_reasserted");
             }
             sys->arena_.Return(std::move(*payload));
@@ -529,7 +504,7 @@ struct RaddNodeSystem::Node {
       Result<BlockRecord> rec = store()->Peek(prow);
       if (rec.ok() && rec->spare_for == req.home) {
         (void)store()->Invalidate(prow);
-        CacheInvalidate(prow);
+        cache.Invalidate(prow);
         sys->stats_.Add("node.spare_invalidated");
       }
     });
@@ -794,7 +769,7 @@ struct RaddNodeSystem::Node {
       Status st = store()->ApplyMask(
           phys(u.group, u.row), mask, u.uid, static_cast<size_t>(u.position),
           static_cast<size_t>(grp(u.group)->num_members()));
-      CacheInvalidate(phys(u.group, u.row));
+      cache.Invalidate(phys(u.group, u.row));
       sys->arena_.Return(std::move(mask).TakeDelta());
       if (!st.ok()) {
         sys->stats_.Add("node.parity_apply_failed");
@@ -977,7 +952,7 @@ struct RaddNodeSystem::Node {
     // a healthy network.
     const SimTime timeout =
         sys->node_config_.retry_timeout +
-        sys->DiskModelOf(b.parity_site).write_latency *
+        sys->node_config_.disk.write_latency *
             static_cast<SimTime>(b.entries.size());
     b.timer = sim()->Schedule(
         timeout, [this, seq]() {
@@ -1134,7 +1109,7 @@ struct RaddNodeSystem::Node {
           phys(frame.group, e.row), mask, e.uid,
           static_cast<size_t>(e.position),
           static_cast<size_t>(grp(frame.group)->num_members()));
-      CacheInvalidate(phys(frame.group, e.row));
+      cache.Invalidate(phys(frame.group, e.row));
       sys->arena_.Return(std::move(mask).TakeDelta());
       if (!st.ok()) {
         // Lost parity block; recovery will recompute. The per-entry error
@@ -1375,7 +1350,7 @@ struct RaddNodeSystem::Node {
       rec.logical_uid = req.uid;
       rec.spare_for = req.home;
       Status st = store()->WriteRecord(phys(req.group, req.row), rec);
-      CacheInvalidate(phys(req.group, req.row));
+      cache.Invalidate(phys(req.group, req.row));
       if (!st.ok()) {
         Unlock(req.op, phys(req.group, req.row));
         CompleteWrite(req.op, reply_to, MessageType::kSpareWriteReply,
@@ -1519,7 +1494,7 @@ struct RaddNodeSystem::Node {
       rec.logical_uid = req.uid;
       rec.spare_for = req.home;
       Status wst = store()->WriteRecord(prow, rec);
-      CacheInvalidate(prow);
+      cache.Invalidate(prow);
       if (!wst.ok()) {
         Unlock(op, prow);
         CompleteWrite(op, st->reply_to, MessageType::kSpareWriteReply,
@@ -1589,7 +1564,7 @@ struct RaddNodeSystem::Node {
       rec.logical_uid = wb.logical_uid;
       rec.spare_for = wb.home;
       if (store()->WriteRecord(phys(wb.group, wb.row), rec).ok()) {
-        CacheInvalidate(phys(wb.group, wb.row));
+        cache.Invalidate(phys(wb.group, wb.row));
         sys->stats_.Add("node.materialized");
       }
       sys->arena_.Return(std::move(rec.data));
@@ -2093,35 +2068,42 @@ RaddNodeSystem::RaddNodeSystem(Simulator* sim, Network* net,
             : std::make_unique<RaddGroup>(cluster, spec.config,
                                           std::move(spec.members)));
   }
-  // One Node per distinct site across all groups, registered in first-seen
-  // order (group-major, member order within a group) so the single-group
-  // case registers handlers exactly as before.
+  // One Node per distinct site across all groups, in first-seen order
+  // (group-major, member order within a group).
   for (const auto& group : groups_) {
     for (int m = 0; m < group->num_members(); ++m) {
       SiteId site = group->SiteOfMember(m);
-      if (nodes_.count(site)) continue;
-      nodes_[site] = std::make_unique<Node>(this, site);
-      net_->RegisterHandler(
-          site, [this, site](Message& msg) { Dispatch(site, msg); });
+      if (!nodes_.count(site)) AddNode(site);
     }
   }
-  for (auto& [site, n] : nodes_) {
-    n->locals.resize(groups_.size());
-    for (size_t g = 0; g < groups_.size(); ++g) {
-      int m = groups_[g]->MemberAtSite(site);
-      n->locals[g].member = m;
-      n->locals[g].first_block =
-          m >= 0 ? groups_[g]->FirstBlockOfMember(m) : 0;
-    }
-    n->model = DiskModelOf(site);
-    const DiskSchedConfig& sched = DiskSchedOf(site);
-    // Modeled storage only when a modeled feature is on: the null case
-    // takes the legacy closed-form clock path verbatim, keeping the
-    // default event sequence bit-identical to the pre-scheduler protocol.
-    if (sched.modeled()) {
-      n->storage = std::make_unique<SiteStorage>(sim_, n->model, sched);
-    }
+}
+
+void RaddNodeSystem::AddNode(SiteId site) {
+  auto n = std::make_unique<Node>(this, site);
+  n->locals.resize(groups_.size());
+  for (size_t g = 0; g < groups_.size(); ++g) n->RefreshLocal(g);
+  nodes_[site] = std::move(n);
+  Network::Handler prev = net_->GetHandler(site);
+  if (!prev) {
+    net_->RegisterHandler(
+        site, [this, site](Message& msg) { Dispatch(site, msg); });
+    return;
   }
+  // An interceptor (the heartbeat detector) already owns this site's slot;
+  // leave it first in line for its own traffic and take the rest. Without
+  // this, registering would silence the site's failure detector.
+  net_->RegisterHandler(
+      site, [this, site, prev = std::move(prev)](Message& msg) {
+        switch (msg.type) {
+          case MessageType::kHeartbeat:
+          case MessageType::kHbProbe:
+          case MessageType::kHbProbeAck:
+            prev(msg);
+            return;
+          default:
+            Dispatch(site, msg);
+        }
+      });
 }
 
 int RaddNodeSystem::HostMember(int grp, int home, BlockNum index) const {
@@ -2137,70 +2119,15 @@ Status RaddNodeSystem::AddGroupMember(int grp, const LogicalDrive& drive) {
   RaddGroup* g = groups_[static_cast<size_t>(grp)].get();
   Status st = g->BeginExpansion(drive);
   if (!st.ok()) return st;
-  const SiteId site = drive.site;
-  auto nit = nodes_.find(site);
+  auto nit = nodes_.find(drive.site);
   if (nit == nodes_.end()) {
-    // Wire a protocol Node for the new site exactly as the constructor
-    // does for founding members.
-    nodes_[site] = std::make_unique<Node>(this, site);
-    Node* n = nodes_[site].get();
-    Network::Handler prev = net_->GetHandler(site);
-    if (prev) {
-      // An interceptor (the heartbeat detector chains in front of the
-      // protocol handlers at setup) already owns this site's slot; leave
-      // it first in line for its own traffic and take the rest. Without
-      // this, re-registering would silence the site's failure detector.
-      net_->RegisterHandler(
-          site, [this, site, prev = std::move(prev)](Message& msg) {
-            switch (msg.type) {
-              case MessageType::kHeartbeat:
-              case MessageType::kHbProbe:
-              case MessageType::kHbProbeAck:
-                prev(msg);
-                return;
-              default:
-                Dispatch(site, msg);
-            }
-          });
-    } else {
-      net_->RegisterHandler(
-          site, [this, site](Message& msg) { Dispatch(site, msg); });
-    }
-    n->locals.resize(groups_.size());
-    for (size_t gi = 0; gi < groups_.size(); ++gi) {
-      int m = groups_[gi]->MemberAtSite(site);
-      n->locals[gi].member = m;
-      n->locals[gi].first_block =
-          m >= 0 ? groups_[gi]->FirstBlockOfMember(m) : 0;
-    }
-    n->model = DiskModelOf(site);
-    const DiskSchedConfig& sched = DiskSchedOf(site);
-    if (sched.modeled()) {
-      n->storage = std::make_unique<SiteStorage>(sim_, n->model, sched);
-    }
+    AddNode(drive.site);
   } else {
     // The site already runs a Node for a sibling group; it only needs its
     // membership view of this group refreshed.
-    Node* n = nit->second.get();
-    const int m = g->MemberAtSite(site);
-    n->locals[static_cast<size_t>(grp)].member = m;
-    n->locals[static_cast<size_t>(grp)].first_block =
-        m >= 0 ? g->FirstBlockOfMember(m) : 0;
+    nit->second->RefreshLocal(static_cast<size_t>(grp));
   }
   return Status::OK();
-}
-
-const DiskModel& RaddNodeSystem::DiskModelOf(SiteId site) const {
-  auto it = node_config_.site_disk.find(site);
-  return it != node_config_.site_disk.end() ? it->second
-                                            : node_config_.disk;
-}
-
-const DiskSchedConfig& RaddNodeSystem::DiskSchedOf(SiteId site) const {
-  auto it = node_config_.site_disk_sched.find(site);
-  return it != node_config_.site_disk_sched.end()
-             ? it->second
-             : node_config_.disk_sched;
 }
 
 void RaddNodeSystem::ChargeBackgroundIo(SiteId site, uint32_t units,
@@ -2220,11 +2147,9 @@ void RaddNodeSystem::ChargeBackgroundIo(SiteId site, uint32_t units,
 RaddNodeSystem::CacheCounters RaddNodeSystem::CacheStats() const {
   CacheCounters total;
   for (const auto& [site, n] : nodes_) {
-    if (!n->storage) continue;
-    const BlockCache* c = n->storage->cache();
-    total.hits += c->hits();
-    total.misses += c->misses();
-    total.stale_rejected += c->stale_rejected();
+    total.hits += n->cache.hits();
+    total.misses += n->cache.misses();
+    total.stale_rejected += n->cache.stale_rejected();
   }
   return total;
 }
@@ -2300,9 +2225,8 @@ void RaddNodeSystem::ResetNodeVolatileState(SiteId site) {
   n->waiting.clear();
   n->recons.clear();
   n->locks = LockManager();
-  n->disk_free_at = 0;
-  if (n->storage) n->storage->Reset();  // queued I/O and cache die too
-  ++n->epoch;  // queued disk completions belong to the dead incarnation
+  n->disk.Reset();  // queued I/O and in-flight completions die too
+  n->cache.Clear();
   stats_.Add("node.volatile_reset");
   // Client operations issued from this site die with its process: their
   // callbacks would otherwise dangle forever.
@@ -2492,11 +2416,6 @@ void RaddNodeSystem::Dispatch(SiteId site, Message& msg) {
   }
 }
 
-void RaddNodeSystem::AsyncRead(SiteId client, int home, BlockNum index,
-                               ReadCallback cb) {
-  AsyncRead(client, /*grp=*/0, home, index, std::move(cb));
-}
-
 void RaddNodeSystem::AsyncRead(SiteId client, int grp, int home,
                                BlockNum index, ReadCallback cb) {
   uint64_t op = NewOpId(client);
@@ -2605,11 +2524,6 @@ void RaddNodeSystem::StartRead(SiteId client, uint64_t op) {
                     ReadReq{op, pr.group, pr.row}, 0);
 }
 
-void RaddNodeSystem::AsyncWrite(SiteId client, int home, BlockNum index,
-                                Block data, WriteCallback cb) {
-  AsyncWrite(client, /*grp=*/0, home, index, std::move(data), std::move(cb));
-}
-
 void RaddNodeSystem::AsyncWrite(SiteId client, int grp, int home,
                                 BlockNum index, Block data, WriteCallback cb) {
   uint64_t op = NewOpId(client);
@@ -2713,11 +2627,6 @@ void RaddNodeSystem::FinishWrite(SiteId client, uint64_t op, Status st) {
   cb(st, latency);
 }
 
-RaddNodeSystem::TimedRead RaddNodeSystem::Read(SiteId client, int home,
-                                               BlockNum index) {
-  return Read(client, /*grp=*/0, home, index);
-}
-
 RaddNodeSystem::TimedRead RaddNodeSystem::Read(SiteId client, int grp,
                                                int home, BlockNum index) {
   TimedRead out;
@@ -2732,12 +2641,6 @@ RaddNodeSystem::TimedRead RaddNodeSystem::Read(SiteId client, int grp,
   sim_->RunUntilPredicate([&]() { return done; });
   if (!done) out.status = Status::Internal("simulation ran dry");
   return out;
-}
-
-RaddNodeSystem::TimedWrite RaddNodeSystem::Write(SiteId client, int home,
-                                                 BlockNum index,
-                                                 const Block& data) {
-  return Write(client, /*grp=*/0, home, index, data);
 }
 
 RaddNodeSystem::TimedWrite RaddNodeSystem::Write(SiteId client, int grp,

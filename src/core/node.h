@@ -45,14 +45,8 @@ struct NodeConfig {
   DiskModel disk;
   /// Shape of each site's disk subsystem (spindle count, scheduling
   /// policy, seek modeling, block cache). The default — one spindle,
-  /// FIFO, no cache — keeps the legacy closed-form serial disk clock,
-  /// bit-identical to the pre-scheduler protocol.
+  /// FIFO, no cache — is the paper's §7.3 serial disk per site.
   DiskSchedConfig disk_sched;
-  /// Heterogeneous fleets: per-site overrides of the base DiskModel
-  /// and/or the disk subsystem shape. Sites absent from a map use the
-  /// defaults above.
-  std::map<SiteId, DiskModel> site_disk;
-  std::map<SiteId, DiskSchedConfig> site_disk_sched;
   /// Retransmission timeout for parity updates / degraded writes when the
   /// network can lose messages.
   SimTime retry_timeout = Millis(250);
@@ -96,19 +90,12 @@ class RaddNodeSystem {
                  const NodeConfig& node_config = {});
   ~RaddNodeSystem();
 
-  /// Issues a read of member `home`'s data block `index` from `client`
-  /// (group 0; the single-group API).
-  void AsyncRead(SiteId client, int home, BlockNum index, ReadCallback cb);
-
-  /// Group-addressed read: member `home` of group `grp`.
+  /// Issues a read of member `home`'s data block `index` in group `grp`
+  /// from `client`.
   void AsyncRead(SiteId client, int grp, int home, BlockNum index,
                  ReadCallback cb);
 
-  /// Issues a write (group 0).
-  void AsyncWrite(SiteId client, int home, BlockNum index, Block data,
-                  WriteCallback cb);
-
-  /// Group-addressed write.
+  /// Issues a write of member `home`'s data block `index` in group `grp`.
   void AsyncWrite(SiteId client, int grp, int home, BlockNum index,
                   Block data, WriteCallback cb);
 
@@ -118,14 +105,11 @@ class RaddNodeSystem {
     Block data{0};
     SimTime latency = 0;
   };
-  TimedRead Read(SiteId client, int home, BlockNum index);
   TimedRead Read(SiteId client, int grp, int home, BlockNum index);
   struct TimedWrite {
     Status status;
     SimTime latency = 0;
   };
-  TimedWrite Write(SiteId client, int home, BlockNum index,
-                   const Block& data);
   TimedWrite Write(SiteId client, int grp, int home, BlockNum index,
                    const Block& data);
 
@@ -190,9 +174,8 @@ class RaddNodeSystem {
   /// disk subsystem and runs `done` at their completion — the recovery
   /// sweeper's disk-pacing hook, so sweep I/O competes with foreground
   /// traffic in the site's queues instead of pacing itself by wall-clock
-  /// delays. Works in legacy mode too (the charge serializes on the
-  /// site's closed-form clock). `done` is dropped if the site crashes
-  /// before the charge completes.
+  /// delays. `done` is dropped if the site crashes before the charge
+  /// completes.
   void ChargeBackgroundIo(SiteId site, uint32_t units,
                           Simulator::Callback done);
 
@@ -205,26 +188,23 @@ class RaddNodeSystem {
   };
   CacheCounters CacheStats() const;
 
-  /// The reference model sharing the same cluster state; used for
-  /// recovery sweeps and invariant checking. The no-arg form is group 0
-  /// (the single-group API).
-  RaddGroup* group() { return groups_.front().get(); }
+  /// The reference model of group `grp`, sharing the same cluster state;
+  /// used for recovery sweeps and invariant checking.
   RaddGroup* group(int grp) { return groups_[static_cast<size_t>(grp)].get(); }
   const RaddGroup* group(int grp) const {
     return groups_[static_cast<size_t>(grp)].get();
   }
   int num_groups() const { return static_cast<int>(groups_.size()); }
 
-  const PlacementMap& layout() const { return groups_.front()->layout(); }
   const PlacementMap& layout(int grp) const {
     return groups_[static_cast<size_t>(grp)]->layout();
   }
 
   /// Online expansion entry point: begins adding `drive` to group `grp`
-  /// (RaddGroup::BeginExpansion) and wires a protocol Node for its site —
-  /// handler registration, per-group locals, disk model/scheduler — so the
-  /// new member answers messages immediately. Drive the actual migration
-  /// through RecoverySweeper::StartMigration (or MigrateStep directly).
+  /// (RaddGroup::BeginExpansion) and wires a protocol Node for its site
+  /// (AddNode) so the new member answers messages immediately. Drive the
+  /// actual migration through RecoverySweeper::StartMigration (or
+  /// MigrateStep directly).
   Status AddGroupMember(int grp, const LogicalDrive& drive);
   Stats* mutable_stats() { return &stats_; }
   const Stats& stats() const { return stats_; }
@@ -232,10 +212,11 @@ class RaddNodeSystem {
  private:
   struct Node;
 
-  /// `site`'s effective disk latency model (per-site override or default).
-  const DiskModel& DiskModelOf(SiteId site) const;
-  /// `site`'s effective disk subsystem shape.
-  const DiskSchedConfig& DiskSchedOf(SiteId site) const;
+  /// Creates `site`'s protocol Node (per-group locals, disk, cache) and
+  /// registers its network handler. A handler already on the site (the
+  /// heartbeat detector) keeps the heartbeat traffic; the Node takes the
+  /// rest.
+  void AddNode(SiteId site);
 
   /// State that `observer` believes `target` to be in.
   SiteState Perceived(SiteId observer, SiteId target) const;

@@ -1,6 +1,5 @@
 #include "core/sweeper.h"
 
-#include <memory>
 #include <utility>
 
 namespace radd {
@@ -134,7 +133,6 @@ void RecoverySweeper::Tick(int grp, int member) {
 
   OpCounts ops;
   uint32_t swept_now = 0;
-  const BlockNum first_swept = sw.cursor;
   const BlockNum rows = group->NumRows();
   while (budget > 0 && sw.cursor < rows) {
     Status st = group->RecoverRow(member, sw.cursor, &ops);
@@ -185,28 +183,8 @@ void RecoverySweeper::Tick(int grp, int member) {
     // An idle tick (blocked row, verification pass) still charges one
     // unit — that is the retry delay.
     stats_.Add("sweeper.disk_paced_ticks");
-    auto barrier = std::make_shared<int>(1);
-    auto next = [this, grp, member, barrier]() {
-      if (--*barrier == 0) Tick(grp, member);
-    };
-    if (config_.charge_source_reads && swept_now > 0) {
-      // Charge each repaired row's reconstruction reads where they land:
-      // the surviving source sites. The next tick then waits for the
-      // slowest source — under the rotated layout the same few sites eat
-      // every read, under a declustered table they spread cluster-wide.
-      std::map<SiteId, uint32_t> reads;
-      for (BlockNum r = first_swept; r < first_swept + swept_now; ++r) {
-        for (SiteId s : group->layout().ReconstructionSources(
-                 static_cast<SiteId>(member), r)) {
-          ++reads[group->SiteOfMember(static_cast<int>(s))];
-        }
-      }
-      for (const auto& [src_site, units] : reads) {
-        ++*barrier;
-        config_.disk_charge(src_site, units, next);
-      }
-    }
-    config_.disk_charge(site, swept_now > 0 ? swept_now : 1, next);
+    config_.disk_charge(site, swept_now > 0 ? swept_now : 1,
+                        [this, grp, member]() { Tick(grp, member); });
     return;
   }
   sim_->Schedule(config_.tick_interval,

@@ -48,24 +48,16 @@ struct SweeperConfig {
   /// Reports current foreground load (e.g. RaddNodeSystem::InFlightOps).
   /// Unset = no backpressure.
   std::function<uint64_t()> load_probe;
-  /// Disk pacing (modeled disk subsystem): when set, each tick charges
-  /// its repaired rows as recovery-class writes to the recovering site's
-  /// disk queues (RaddNodeSystem::ChargeBackgroundIo) and the next tick
-  /// fires at the charge's completion instead of after tick_interval —
-  /// sweep I/O then competes with foreground traffic in the queues, and
-  /// the deadline policy's starvation bound replaces the hand-tuned gap.
-  /// Unset = the legacy wall-clock pacing above.
+  /// Disk pacing: when set, each tick charges its repaired rows as
+  /// recovery-class writes to the recovering site's disk queues
+  /// (RaddNodeSystem::ChargeBackgroundIo) and the next tick fires at the
+  /// charge's completion instead of after tick_interval — sweep I/O then
+  /// competes with foreground traffic in the queues, and the deadline
+  /// policy's starvation bound replaces the hand-tuned gap. Unset = the
+  /// wall-clock pacing above.
   std::function<void(SiteId site, uint32_t units,
                      std::function<void()> done)>
       disk_charge;
-  /// Also charge each repaired row's reconstruction-source reads to the
-  /// source sites' disk queues (recovery-class reads), and gate the next
-  /// tick on the slowest of them. Off by default: the legacy accounting
-  /// charges only the recovering site, and the stock event sequence must
-  /// stay bit-identical. The layout bench turns this on so the
-  /// rotated-vs-declustered recovery makespan reflects where source
-  /// reads actually land — one hot survivor versus the whole cluster.
-  bool charge_source_reads = false;
 };
 
 /// One sweeper instance serves every member of every group it is given.

@@ -6,16 +6,11 @@
 
 namespace radd {
 
-DiskScheduler::DiskScheduler(Simulator* sim, DiskModel base_model,
+DiskScheduler::DiskScheduler(Simulator* sim, DiskModel model,
                              const DiskSchedConfig& config)
-    : sim_(sim), config_(config) {
+    : sim_(sim), model_(model), config_(config) {
   const int n = config_.spindles < 1 ? 1 : config_.spindles;
   spindles_.resize(static_cast<size_t>(n));
-  for (size_t i = 0; i < spindles_.size(); ++i) {
-    spindles_[i].model = i < config_.spindle_models.size()
-                             ? config_.spindle_models[i]
-                             : base_model;
-  }
 }
 
 void DiskScheduler::Submit(IoClass cls, IoKind kind, BlockNum addr,
@@ -55,9 +50,8 @@ size_t DiskScheduler::queued() const {
 
 SimTime DiskScheduler::ServiceTime(const Spindle& sp,
                                    const Request& r) const {
-  const SimTime per_block = r.kind == IoKind::kRead
-                                ? sp.model.read_latency
-                                : sp.model.write_latency;
+  const SimTime per_block =
+      r.kind == IoKind::kRead ? model_.read_latency : model_.write_latency;
   SimTime service = per_block * static_cast<SimTime>(r.units) *
                     static_cast<SimTime>(r.slow);
   if (config_.seek_unit != 0) {

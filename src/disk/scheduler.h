@@ -1,12 +1,12 @@
 // DiskScheduler — modeled per-spindle I/O queues for one site.
 //
-// The protocol layer used to charge disk latency with a single closed-form
-// serial clock per site (one request at a time, FIFO by arrival). That
-// reproduces the paper's §7.3 model exactly, but it also makes the site's
-// disk the scaling ceiling of the §4 sharded volume: a site hosting drives
-// of k groups funnels k parity chains through one 30 ms-per-request queue.
+// The paper's §7.3 model charges disk latency on one serial disk per site
+// (one request at a time, FIFO by arrival). Taken literally, that makes
+// the site's disk the scaling ceiling of the §4 sharded volume: a site
+// hosting drives of k groups funnels k parity chains through one
+// 30 ms-per-request queue.
 //
-// This scheduler generalizes the model without changing its defaults:
+// This scheduler generalizes that model; its defaults reproduce it:
 //
 //   * a site stripes its site-local LBA space over S spindles
 //     (spindle = block mod S), each spindle serving one request at a time
@@ -14,7 +14,7 @@
 //   * requests carry an I/O *class* (foreground, parity-writeback,
 //     recovery, scrub) and a *kind* (read/write), and each spindle picks
 //     the next request by a pluggable policy:
-//       - kFifo:     strict arrival order (the legacy discipline);
+//       - kFifo:     strict arrival order (the §7.3 discipline);
 //       - kElevator: LOOK — serve the nearest address in the current sweep
 //         direction, reversing at the ends; pays off only when a seek cost
 //         (`seek_unit`) is modeled on top of the flat per-request latency;
@@ -25,11 +25,10 @@
 //         `background_deadline` plus one service time (the dispatch is
 //         non-preemptive).
 //
-// With spindles = 1, policy = kFifo and no seek modeling the engine is
-// equivalent to the legacy closed-form clock (completion times identical;
-// the scheduler unit tests assert it). The protocol layer still takes the
-// closed-form fast path in that configuration so the default event
-// sequence — not just the completion times — is bit-identical.
+// With spindles = 1, policy = kFifo and no seek modeling the engine gives
+// the same completion times as the closed-form serial clock
+// start = max(now, free_at) (the scheduler unit tests assert it). Every
+// protocol node runs one of these, built from NodeConfig::disk_sched.
 
 #ifndef RADD_DISK_SCHEDULER_H_
 #define RADD_DISK_SCHEDULER_H_
@@ -55,15 +54,12 @@ enum class IoKind : uint8_t { kRead, kWrite };
 
 enum class IoPolicy : uint8_t { kFifo, kElevator, kDeadline };
 
-/// Disk subsystem shape of one site. The defaults describe the legacy
-/// model exactly: one spindle, FIFO, no seek cost, no cache.
+/// Disk subsystem shape of one site. The defaults describe the paper's
+/// §7.3 model exactly: one spindle, FIFO, no seek cost, no cache.
 struct DiskSchedConfig {
   /// Spindles the site stripes its LBA space over (block mod spindles).
   int spindles = 1;
   IoPolicy policy = IoPolicy::kFifo;
-  /// Per-spindle latency overrides for heterogeneous sites; spindle i uses
-  /// spindle_models[i] when present, the site's base DiskModel otherwise.
-  std::vector<DiskModel> spindle_models;
   /// Optional seek modeling: extra service time per block of distance
   /// between a spindle's last-served address and the next request's,
   /// capped at `seek_cap`. 0 keeps the paper's flat per-request cost.
@@ -76,20 +72,20 @@ struct DiskSchedConfig {
   /// Site block-cache capacity in blocks; 0 disables the cache.
   size_t cache_blocks = 0;
 
-  /// True when any modeled feature is on — the protocol layer must route
-  /// requests through a DiskScheduler instead of its closed-form clock.
+  /// True when any feature beyond the §7.3 serial FIFO disk is on. Tools
+  /// use it to choose the recovery sweeper's pacing and what to report.
   bool modeled() const {
     return spindles > 1 || policy != IoPolicy::kFifo || seek_unit != 0 ||
-           !spindle_models.empty() || cache_blocks > 0;
+           cache_blocks > 0;
   }
 };
 
 /// Event-driven multi-spindle request scheduler. All calls must come from
-/// the owning site's simulator events (the same discipline the legacy
-/// per-site clock had), so no locking is needed even on sharded runs.
+/// the owning site's simulator events, so no locking is needed even on
+/// sharded runs.
 class DiskScheduler {
  public:
-  DiskScheduler(Simulator* sim, DiskModel base_model,
+  DiskScheduler(Simulator* sim, DiskModel model,
                 const DiskSchedConfig& config);
 
   /// Enqueues an I/O of `units` sequential block operations starting at
@@ -127,7 +123,6 @@ class DiskScheduler {
     bool busy = false;
     BlockNum head = 0;  ///< last dispatched address (seek / LOOK state)
     int dir = 1;        ///< LOOK sweep direction
-    DiskModel model;
   };
 
   size_t SpindleOf(BlockNum addr) const {
@@ -139,6 +134,7 @@ class DiskScheduler {
   SimTime ServiceTime(const Spindle& sp, const Request& r) const;
 
   Simulator* sim_;
+  DiskModel model_;  ///< per-block latency, shared by every spindle
   DiskSchedConfig config_;
   std::vector<Spindle> spindles_;
   uint64_t next_seq_ = 0;

@@ -45,12 +45,17 @@ namespace {
 /// rows ending at J, returned in ascending order.
 void SkipRows(SiteId site, BlockNum n, int parities, BlockNum* skips,
               int* num_skips) {
-  *num_skips = parities + 1;
-  for (int k = 0; k <= parities; ++k) {
-    skips[k] =
-        (static_cast<BlockNum>(site) + n - static_cast<BlockNum>(k)) % n;
+  const BlockNum last = static_cast<BlockNum>(site);
+  const BlockNum first = (last + n - static_cast<BlockNum>(parities)) % n;
+  int k = 0;
+  if (first > last) {
+    // The run wraps past row n-1: rows 0..J sort ahead of first..n-1.
+    for (BlockNum r = 0; r <= last; ++r) skips[k++] = r;
+    for (BlockNum r = first; r < n; ++r) skips[k++] = r;
+  } else {
+    for (BlockNum r = first; r <= last; ++r) skips[k++] = r;
   }
-  std::sort(skips, skips + *num_skips);
+  *num_skips = k;
 }
 }  // namespace
 

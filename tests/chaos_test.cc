@@ -222,15 +222,15 @@ class ChaosNodeTest : public ::testing::Test {
     b.FillPattern(seed);
     return b;
   }
-  SiteId SiteOf(int m) { return sys_->group()->SiteOfMember(m); }
+  SiteId SiteOf(int m) { return sys_->group(0)->SiteOfMember(m); }
   /// Physical row on member `m`'s (single-disk) site for data block `idx`.
   BlockNum RowOf(int m, BlockNum idx) {
-    return sys_->layout().DataToRow(static_cast<SiteId>(m), idx);
+    return sys_->layout(0).DataToRow(static_cast<SiteId>(m), idx);
   }
   void ScrubAll() {
     for (int m = 0; m < 6; ++m) {
-      ASSERT_TRUE(sys_->group()->ScrubData(m).ok());
-      ASSERT_TRUE(sys_->group()->ScrubParity(m).ok());
+      ASSERT_TRUE(sys_->group(0)->ScrubData(m).ok());
+      ASSERT_TRUE(sys_->group(0)->ScrubParity(m).ok());
     }
   }
 
@@ -242,7 +242,7 @@ class ChaosNodeTest : public ::testing::Test {
 };
 
 TEST_F(ChaosNodeTest, CrashMidWriteBetweenW1AndParityAck) {
-  ASSERT_TRUE(sys_->Write(SiteOf(0), 2, 0, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(0), 0, 2, 0, Pat(1)).status.ok());
   sim_->Run();
 
   // Freeze the write protocol between W1 and the parity ack: the home
@@ -251,7 +251,7 @@ TEST_F(ChaosNodeTest, CrashMidWriteBetweenW1AndParityAck) {
                      [](const Message&) { return FaultAction::kDrop; });
   bool write_done = false;
   Status write_status;
-  sys_->AsyncWrite(SiteOf(0), 2, 0, Pat(2), [&](Status st, SimTime) {
+  sys_->AsyncWrite(SiteOf(0), 0, 2, 0, Pat(2), [&](Status st, SimTime) {
     write_done = true;
     write_status = st;
   });
@@ -268,13 +268,13 @@ TEST_F(ChaosNodeTest, CrashMidWriteBetweenW1AndParityAck) {
   ASSERT_TRUE(write_done) << "write hung after crash";
 
   ASSERT_TRUE(cluster_->RestoreSite(SiteOf(2)).ok());
-  ASSERT_TRUE(sys_->group()->RunRecovery(2, true).ok());
+  ASSERT_TRUE(sys_->group(0)->RunRecovery(2, true).ok());
   ScrubAll();
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 
   // Atomicity across the crash: the block is the old or the new value,
   // never a torn mix; and an acked write must not be lost.
-  auto r = sys_->Read(SiteOf(0), 2, 0);
+  auto r = sys_->Read(SiteOf(0), 0, 2, 0);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   if (write_status.ok()) {
     EXPECT_EQ(r.data, Pat(2)) << "acknowledged write was lost";
@@ -284,14 +284,14 @@ TEST_F(ChaosNodeTest, CrashMidWriteBetweenW1AndParityAck) {
 }
 
 TEST_F(ChaosNodeTest, LatentErrorReadRoutesToReconstruction) {
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 3, Pat(7)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 3, Pat(7)).status.ok());
   sim_->Run();
   ASSERT_TRUE(
       cluster_->site(SiteOf(2))->disks()->InjectLatentError(RowOf(2, 3)).ok());
 
   // The home's medium reports the sector unreadable; the read must fall
   // back to formula (2) reconstruction and still return the data.
-  auto r = sys_->Read(SiteOf(0), 2, 3);
+  auto r = sys_->Read(SiteOf(0), 0, 2, 3);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.data, Pat(7));
   sim_->Run();
@@ -299,7 +299,7 @@ TEST_F(ChaosNodeTest, LatentErrorReadRoutesToReconstruction) {
 }
 
 TEST_F(ChaosNodeTest, SilentCorruptionDetectedAndReconstructed) {
-  ASSERT_TRUE(sys_->Write(SiteOf(1), 1, 2, Pat(9)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 1, 2, Pat(9)).status.ok());
   sim_->Run();
   Result<bool> rotted = cluster_->site(SiteOf(1))->disks()->CorruptBlock(
       RowOf(1, 2), /*seed=*/0xb17, /*bits=*/2);
@@ -308,15 +308,15 @@ TEST_F(ChaosNodeTest, SilentCorruptionDetectedAndReconstructed) {
 
   // The checksum catches the rot at read time (DataLoss, not bad bytes),
   // and reconstruction serves the true value.
-  auto r = sys_->Read(SiteOf(0), 1, 2);
+  auto r = sys_->Read(SiteOf(0), 0, 1, 2);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.data, Pat(9));
   EXPECT_GE(cluster_->site(SiteOf(1))->disks()->corruptions_detected(), 1u);
 }
 
 TEST_F(ChaosNodeTest, ScrubDataRepairsLatentBlocks) {
-  for (BlockNum i = 0; i < sys_->group()->DataBlocksPerMember(); ++i) {
-    ASSERT_TRUE(sys_->Write(SiteOf(1), 1, i, Pat(40 + i)).status.ok());
+  for (BlockNum i = 0; i < sys_->group(0)->DataBlocksPerMember(); ++i) {
+    ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 1, i, Pat(40 + i)).status.ok());
   }
   sim_->Run();
   ASSERT_TRUE(
@@ -324,14 +324,14 @@ TEST_F(ChaosNodeTest, ScrubDataRepairsLatentBlocks) {
   ASSERT_TRUE(
       cluster_->site(SiteOf(1))->disks()->InjectLatentError(RowOf(1, 5)).ok());
 
-  Result<int> repaired = sys_->group()->ScrubData(1);
+  Result<int> repaired = sys_->group(0)->ScrubData(1);
   ASSERT_TRUE(repaired.ok()) << repaired.status().ToString();
   EXPECT_EQ(*repaired, 2);
 
   // Repaired in place: local reads work again and values survived.
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
   for (BlockNum i : {BlockNum(0), BlockNum(5)}) {
-    auto r = sys_->Read(SiteOf(1), 1, i);
+    auto r = sys_->Read(SiteOf(1), 0, 1, i);
     ASSERT_TRUE(r.status.ok()) << r.status.ToString();
     EXPECT_EQ(r.data, Pat(40 + i));
     EXPECT_EQ(r.latency, Millis(30)) << "should be served locally again";

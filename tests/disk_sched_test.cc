@@ -23,8 +23,8 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(DiskScheduler, FifoSingleSpindleMatchesClosedFormClock) {
-  // The legacy model: one serial clock per site,
-  //   start = max(now, disk_free_at); disk_free_at = start + latency.
+  // The paper's §7.3 model: one serial clock per site,
+  //   start = max(now, free_at); free_at = start + latency.
   // With spindles=1/FIFO/no-seek the scheduler must produce the exact
   // same completion times for any arrival pattern.
   Simulator sim;
@@ -285,7 +285,7 @@ class NodeCacheTest : public ::testing::Test {
     b.FillPattern(seed);
     return b;
   }
-  SiteId SiteOf(int m) { return sys_->group()->SiteOfMember(m); }
+  SiteId SiteOf(int m) { return sys_->group(0)->SiteOfMember(m); }
 
   RaddConfig config_;
   std::unique_ptr<Simulator> sim_;
@@ -295,10 +295,10 @@ class NodeCacheTest : public ::testing::Test {
 };
 
 TEST_F(NodeCacheTest, WriteThroughMakesLocalReadsFree) {
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
   // The write-through filled the cache, so the local read skips the
   // R = 30 ms disk charge entirely.
-  auto r = sys_->Read(SiteOf(2), 2, 0);
+  auto r = sys_->Read(SiteOf(2), 0, 2, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(1));
   EXPECT_LT(r.latency, Millis(30));
@@ -311,26 +311,26 @@ TEST_F(NodeCacheTest, UidValidationRejectsEntryAfterOutOfBandWrite) {
   // scrub repair does. The cached entry's UID no longer matches the
   // store's record, so the next read must decline the hit and serve the
   // new bytes from disk.
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
-  ASSERT_TRUE(sys_->Read(SiteOf(2), 2, 0).status.ok());  // fills the cache
-  ASSERT_TRUE(sys_->group()->Write(SiteOf(2), 2, 0, Pat(99)).ok());
-  auto r = sys_->Read(SiteOf(2), 2, 0);
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Read(SiteOf(2), 0, 2, 0).status.ok());  // fills the cache
+  ASSERT_TRUE(sys_->group(0)->Write(SiteOf(2), 2, 0, Pat(99)).ok());
+  auto r = sys_->Read(SiteOf(2), 0, 2, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(99));
   EXPECT_GE(sys_->CacheStats().stale_rejected, 1u);
   // The disk-path read refilled the cache with the new record.
   const uint64_t hits_before = sys_->CacheStats().hits;
-  auto again = sys_->Read(SiteOf(2), 2, 0);
+  auto again = sys_->Read(SiteOf(2), 0, 2, 0);
   ASSERT_TRUE(again.status.ok());
   EXPECT_EQ(again.data, Pat(99));
   EXPECT_GT(sys_->CacheStats().hits, hits_before);
 }
 
 TEST_F(NodeCacheTest, WritesInvalidateThenReadsRefill) {
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
-  ASSERT_TRUE(sys_->Read(SiteOf(2), 2, 0).status.ok());
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(2)).status.ok());
-  auto r = sys_->Read(SiteOf(2), 2, 0);
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Read(SiteOf(2), 0, 2, 0).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(2)).status.ok());
+  auto r = sys_->Read(SiteOf(2), 0, 2, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(2));  // never the stale Pat(1)
 }

@@ -149,9 +149,9 @@ TEST(HeartbeatIntegration, ChainsToProtocolHandlers) {
 
   Block b(256);
   b.FillPattern(1);
-  auto w = sys.Write(1, 1, 0, b);
+  auto w = sys.Write(1, 0, 1, 0, b);
   ASSERT_TRUE(w.status.ok());
-  auto r = sys.Read(2, 1, 0);
+  auto r = sys.Read(2, 0, 1, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, b);
 
@@ -161,9 +161,38 @@ TEST(HeartbeatIntegration, ChainsToProtocolHandlers) {
   sim.RunUntil(sim.Now() + Seconds(5));
   ASSERT_TRUE(detector.Suspects(2, 1));
   sys.SetPresumedState(2, 1, detector.Perceived(2, 1));
-  auto dr = sys.Read(2, 1, 0);
+  auto dr = sys.Read(2, 0, 1, 0);
   ASSERT_TRUE(dr.status.ok()) << dr.status.ToString();
   EXPECT_EQ(dr.data, b);
+}
+
+TEST(HeartbeatIntegration, DetectorBuiltBeforeProtocolKeepsItsTraffic) {
+  // Construction order must not matter: the protocol layer chains behind a
+  // detector that registered first instead of overwriting its handlers.
+  RaddConfig config;
+  config.group_size = 4;
+  config.rows = 12;
+  config.block_size = 256;
+  Simulator sim;
+  Network net(&sim, NetworkModel{}, 5);
+  Cluster cluster(6, SiteConfig{1, 12, 256});
+  HeartbeatDetector detector(&sim, &net, &cluster, {0, 1, 2, 3, 4, 5});
+  RaddNodeSystem sys(&sim, &net, &cluster, config);
+  detector.Start();
+  sim.RunUntil(Seconds(10));
+  for (SiteId a = 0; a < 6; ++a) {
+    for (SiteId c = 0; c < 6; ++c) {
+      EXPECT_FALSE(detector.Suspects(a, c)) << a << " suspects " << c;
+    }
+  }
+
+  Block b(256);
+  b.FillPattern(1);
+  auto w = sys.Write(1, 0, 1, 0, b);
+  ASSERT_TRUE(w.status.ok());
+  auto r = sys.Read(2, 0, 1, 0);
+  ASSERT_TRUE(r.status.ok());
+  EXPECT_EQ(r.data, b);
 }
 
 }  // namespace

@@ -32,7 +32,7 @@ class NodeTest : public ::testing::Test {
     b.FillPattern(seed);
     return b;
   }
-  SiteId SiteOf(int m) { return sys_->group()->SiteOfMember(m); }
+  SiteId SiteOf(int m) { return sys_->group(0)->SiteOfMember(m); }
 
   RaddConfig config_;
   std::unique_ptr<Simulator> sim_;
@@ -42,8 +42,8 @@ class NodeTest : public ::testing::Test {
 };
 
 TEST_F(NodeTest, LocalReadLatencyIsR) {
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
-  auto r = sys_->Read(SiteOf(2), 2, 0);
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
+  auto r = sys_->Read(SiteOf(2), 0, 2, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(1));
   // Table 1: a local read costs R = 30 ms.
@@ -51,15 +51,15 @@ TEST_F(NodeTest, LocalReadLatencyIsR) {
 }
 
 TEST_F(NodeTest, RemoteReadLatencyIsRR) {
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
-  auto r = sys_->Read(SiteOf(3), 2, 0);
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
+  auto r = sys_->Read(SiteOf(3), 0, 2, 0);
   ASSERT_TRUE(r.status.ok());
   // RR = 2.5 R = 75 ms: request (22.5) + disk (30) + reply (22.5).
   EXPECT_EQ(r.latency, Micros(75000));
 }
 
 TEST_F(NodeTest, LocalWriteLatencyIsWPlusRW) {
-  auto w = sys_->Write(SiteOf(2), 2, 0, Pat(1));
+  auto w = sys_->Write(SiteOf(2), 0, 2, 0, Pat(1));
   ASSERT_TRUE(w.status.ok());
   // Local write (30) then parity round trip (22.5 + 30 + 22.5) = 105 ms —
   // the same value as Figure 4's W + RW cost, because the two are
@@ -69,79 +69,79 @@ TEST_F(NodeTest, LocalWriteLatencyIsWPlusRW) {
 
 TEST_F(NodeTest, WriteMaintainsReferenceInvariants) {
   for (int m = 0; m < 6; ++m) {
-    for (BlockNum i = 0; i < sys_->group()->DataBlocksPerMember(); ++i) {
-      ASSERT_TRUE(
-          sys_->Write(SiteOf(m), m, i, Pat(uint64_t(m) * 10 + i)).status.ok());
+    for (BlockNum i = 0; i < sys_->group(0)->DataBlocksPerMember(); ++i) {
+      ASSERT_TRUE(sys_->Write(SiteOf(m), 0, m, i, Pat(uint64_t(m) * 10 + i))
+                      .status.ok());
     }
   }
   sim_->Run();  // drain side effects
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(NodeTest, DegradedReadReconstructsAndMaterializes) {
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(7)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(7)).status.ok());
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(2)).ok());
-  auto r = sys_->Read(SiteOf(0), 2, 0);
+  auto r = sys_->Read(SiteOf(0), 0, 2, 0);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.data, Pat(7));
   sim_->Run();  // let the materialization land
   EXPECT_GT(sys_->stats().Get("node.materialized"), 0u);
 
   // Second read resolves via the spare: strictly cheaper.
-  auto r2 = sys_->Read(SiteOf(0), 2, 0);
+  auto r2 = sys_->Read(SiteOf(0), 0, 2, 0);
   ASSERT_TRUE(r2.status.ok());
   EXPECT_EQ(r2.data, Pat(7));
   EXPECT_LE(r2.latency, Micros(75000));
 }
 
 TEST_F(NodeTest, DegradedWriteLandsOnSpare) {
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(2)).ok());
-  auto w = sys_->Write(SiteOf(0), 2, 0, Pat(2));
+  auto w = sys_->Write(SiteOf(0), 0, 2, 0, Pat(2));
   ASSERT_TRUE(w.status.ok()) << w.status.ToString();
-  auto r = sys_->Read(SiteOf(0), 2, 0);
+  auto r = sys_->Read(SiteOf(0), 0, 2, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(2));
   sim_->Run();
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(NodeTest, CrashWriteRecoverRoundTrip) {
-  ASSERT_TRUE(sys_->Write(SiteOf(1), 1, 2, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 1, 2, Pat(1)).status.ok());
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(1)).ok());
-  ASSERT_TRUE(sys_->Write(SiteOf(4), 1, 2, Pat(2)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(4), 0, 1, 2, Pat(2)).status.ok());
   ASSERT_TRUE(cluster_->RestoreSite(SiteOf(1)).ok());
   sim_->Run();
-  ASSERT_TRUE(sys_->group()->RunRecovery(1).ok());
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
-  auto r = sys_->Read(SiteOf(1), 1, 2);
+  ASSERT_TRUE(sys_->group(0)->RunRecovery(1).ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
+  auto r = sys_->Read(SiteOf(1), 0, 1, 2);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(2));
   EXPECT_EQ(r.latency, Millis(30));  // served locally again
 }
 
 TEST_F(NodeTest, RecoveringReadPrefersSpare) {
-  ASSERT_TRUE(sys_->Write(SiteOf(1), 1, 2, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 1, 2, Pat(1)).status.ok());
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(1)).ok());
-  ASSERT_TRUE(sys_->Write(SiteOf(4), 1, 2, Pat(2)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(4), 0, 1, 2, Pat(2)).status.ok());
   ASSERT_TRUE(cluster_->RestoreSite(SiteOf(1)).ok());
   // No sweep yet: a read must see the spare's newer value, not the stale
   // local copy.
-  auto r = sys_->Read(SiteOf(1), 1, 2);
+  auto r = sys_->Read(SiteOf(1), 0, 1, 2);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(2));
 }
 
 TEST_F(NodeTest, RecoveringWriteFetchesSpareAndInvalidates) {
-  ASSERT_TRUE(sys_->Write(SiteOf(1), 1, 2, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 1, 2, Pat(1)).status.ok());
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(1)).ok());
-  ASSERT_TRUE(sys_->Write(SiteOf(4), 1, 2, Pat(2)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(4), 0, 1, 2, Pat(2)).status.ok());
   ASSERT_TRUE(cluster_->RestoreSite(SiteOf(1)).ok());
-  ASSERT_TRUE(sys_->Write(SiteOf(1), 1, 2, Pat(3)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 1, 2, Pat(3)).status.ok());
   sim_->Run();
   EXPECT_GT(sys_->stats().Get("node.spare_invalidated"), 0u);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
-  auto r = sys_->Read(SiteOf(1), 1, 2);
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
+  auto r = sys_->Read(SiteOf(1), 0, 1, 2);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(3));
 }
@@ -149,7 +149,7 @@ TEST_F(NodeTest, RecoveringWriteFetchesSpareAndInvalidates) {
 TEST_F(NodeTest, ConcurrentWritesToOneBlockSerialize) {
   int done = 0;
   for (int i = 0; i < 4; ++i) {
-    sys_->AsyncWrite(SiteOf(2), 2, 0, Pat(uint64_t(i)),
+    sys_->AsyncWrite(SiteOf(2), 0, 2, 0, Pat(uint64_t(i)),
                      [&done](Status st, SimTime) {
                        ASSERT_TRUE(st.ok());
                        ++done;
@@ -158,8 +158,8 @@ TEST_F(NodeTest, ConcurrentWritesToOneBlockSerialize) {
   sim_->Run();
   EXPECT_EQ(done, 4);
   EXPECT_GT(sys_->stats().Get("node.lock_waits"), 0u);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
-  auto r = sys_->Read(SiteOf(2), 2, 0);
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
+  auto r = sys_->Read(SiteOf(2), 0, 2, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(3));  // last writer wins, in issue order
 }
@@ -168,7 +168,7 @@ TEST_F(NodeTest, ConcurrentWritesAcrossMembersKeepParityConsistent) {
   int done = 0;
   for (int m = 0; m < 6; ++m) {
     for (int i = 0; i < 3; ++i) {
-      sys_->AsyncWrite(SiteOf(m), m, static_cast<BlockNum>(i),
+      sys_->AsyncWrite(SiteOf(m), 0, m, static_cast<BlockNum>(i),
                        Pat(uint64_t(m) * 100 + i),
                        [&done](Status st, SimTime) {
                          ASSERT_TRUE(st.ok());
@@ -178,18 +178,18 @@ TEST_F(NodeTest, ConcurrentWritesAcrossMembersKeepParityConsistent) {
   }
   sim_->Run();
   EXPECT_EQ(done, 18);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(NodeTest, ParitySiteDownDropsUpdatesAndRecoveryRecomputes) {
   // Find a row whose parity lives at member p, write its data while p is
   // down (update dropped), then verify p's recovery recomputes it.
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
-  BlockNum row = sys_->layout().DataToRow(2, 0);
-  int pm = static_cast<int>(sys_->layout().ParitySite(row));
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
+  BlockNum row = sys_->layout(0).DataToRow(2, 0);
+  int pm = static_cast<int>(sys_->layout(0).ParitySite(row));
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(pm)).ok());
 
-  auto w = sys_->Write(SiteOf(2), 2, 0, Pat(2));
+  auto w = sys_->Write(SiteOf(2), 0, 2, 0, Pat(2));
   ASSERT_TRUE(w.status.ok());
   // No parity round trip: the write completes after the local disk alone.
   EXPECT_EQ(w.latency, Millis(30));
@@ -197,25 +197,25 @@ TEST_F(NodeTest, ParitySiteDownDropsUpdatesAndRecoveryRecomputes) {
 
   ASSERT_TRUE(cluster_->RestoreSite(SiteOf(pm)).ok());
   sim_->Run();
-  ASSERT_TRUE(sys_->group()->RunRecovery(pm).ok());
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  ASSERT_TRUE(sys_->group(0)->RunRecovery(pm).ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 
   // Reconstruction through the rebuilt parity yields the new value.
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(2)).ok());
-  auto r = sys_->Read(SiteOf(0), 2, 0);
+  auto r = sys_->Read(SiteOf(0), 0, 2, 0);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.data, Pat(2));
 }
 
 TEST_F(NodeTest, WritesToDownSiteFailCleanlyWhenSpareAlsoDown) {
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
-  BlockNum row = sys_->layout().DataToRow(2, 0);
-  int sm = static_cast<int>(sys_->layout().SpareSite(row));
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
+  BlockNum row = sys_->layout(0).DataToRow(2, 0);
+  int sm = static_cast<int>(sys_->layout(0).SpareSite(row));
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(2)).ok());
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(sm)).ok());
   // Double failure: the degraded write cannot land anywhere; the client
   // times out rather than hanging or corrupting.
-  auto w = sys_->Write(SiteOf(0), 2, 0, Pat(2));
+  auto w = sys_->Write(SiteOf(0), 0, 2, 0, Pat(2));
   EXPECT_FALSE(w.status.ok());
 }
 
@@ -231,7 +231,7 @@ TEST_F(NodeTest, MixedReadWriteStormAgainstReferenceModel) {
         uint64_t seed = ++seq;
         last_seed[{m, i}] = seed;
         ++pending;
-        sys_->AsyncWrite(SiteOf(m), m, i, Pat(seed),
+        sys_->AsyncWrite(SiteOf(m), 0, m, i, Pat(seed),
                          [&pending](Status st, SimTime) {
                            ASSERT_TRUE(st.ok());
                            --pending;
@@ -241,9 +241,9 @@ TEST_F(NodeTest, MixedReadWriteStormAgainstReferenceModel) {
   }
   sim_->Run();
   EXPECT_EQ(pending, 0);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
   for (const auto& [key, seed] : last_seed) {
-    auto r = sys_->Read(SiteOf(key.first), key.first, key.second);
+    auto r = sys_->Read(SiteOf(key.first), 0, key.first, key.second);
     ASSERT_TRUE(r.status.ok());
     EXPECT_EQ(r.data, Pat(seed));
   }
@@ -256,10 +256,10 @@ TEST_F(NodeTest, ReconstructionRacingWriteRetriesViaUidValidation) {
   // source reads can observe the new data before the parity update lands,
   // the UID comparison catches it, and the retry returns a consistent
   // value.
-  BlockNum row = sys_->layout().DataToRow(2, 0);
+  BlockNum row = sys_->layout(0).DataToRow(2, 0);
   // Find another data member of the same row.
   int other = -1;
-  for (SiteId s : sys_->layout().DataSites(row)) {
+  for (SiteId s : sys_->layout(0).DataSites(row)) {
     if (static_cast<int>(s) != 2) {
       other = static_cast<int>(s);
       break;
@@ -267,12 +267,12 @@ TEST_F(NodeTest, ReconstructionRacingWriteRetriesViaUidValidation) {
   }
   ASSERT_GE(other, 0);
   Result<BlockNum> other_idx =
-      sys_->layout().RowToData(static_cast<SiteId>(other), row);
+      sys_->layout(0).RowToData(static_cast<SiteId>(other), row);
   ASSERT_TRUE(other_idx.ok());
 
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
   ASSERT_TRUE(
-      sys_->Write(SiteOf(other), other, *other_idx, Pat(2)).status.ok());
+      sys_->Write(SiteOf(other), 0, other, *other_idx, Pat(2)).status.ok());
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(2)).ok());
 
   // Timing: the degraded read's reconstruction source-reads execute at
@@ -285,13 +285,13 @@ TEST_F(NodeTest, ReconstructionRacingWriteRetriesViaUidValidation) {
   bool write_done = false, read_done = false;
   Block read_value(config_.block_size);
   sim_->Schedule(Micros(80000), [&]() {
-    sys_->AsyncWrite(SiteOf(other), other, *other_idx, Pat(3),
+    sys_->AsyncWrite(SiteOf(other), 0, other, *other_idx, Pat(3),
                      [&](Status st, SimTime) {
                        ASSERT_TRUE(st.ok());
                        write_done = true;
                      });
   });
-  sys_->AsyncRead(SiteOf(0), 2, 0,
+  sys_->AsyncRead(SiteOf(0), 0, 2, 0,
                   [&](Status st, const Block& data, SimTime) {
                     ASSERT_TRUE(st.ok()) << st.ToString();
                     read_value = data;
@@ -303,7 +303,7 @@ TEST_F(NodeTest, ReconstructionRacingWriteRetriesViaUidValidation) {
   // Whatever interleaving happened, the reconstructed value must be
   // member 2's actual data — never a torn mix.
   EXPECT_EQ(read_value, Pat(1));
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
   // The race window (source read between the data write and its parity
   // update) is real at these latencies: the validation must have retried.
   EXPECT_GT(sys_->stats().Get("node.uid_retry"), 0u)
@@ -321,32 +321,32 @@ class LossyNodeTest : public NodeTest {
 
 TEST_F(LossyNodeTest, WritesCompleteDespiteLoss) {
   for (int i = 0; i < 10; ++i) {
-    auto w = sys_->Write(SiteOf(2), 2, 0, Pat(uint64_t(i)));
+    auto w = sys_->Write(SiteOf(2), 0, 2, 0, Pat(uint64_t(i)));
     ASSERT_TRUE(w.status.ok()) << "write " << i;
   }
   sim_->Run();
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok())
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok())
       << "parity must be exact despite retransmissions";
-  auto r = sys_->Read(SiteOf(2), 2, 0);
+  auto r = sys_->Read(SiteOf(2), 0, 2, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(9));
 }
 
 TEST_F(LossyNodeTest, DuplicateParityUpdatesAreIdempotent) {
   for (int i = 0; i < 20; ++i) {
-    ASSERT_TRUE(sys_->Write(SiteOf(3), 3, 1, Pat(uint64_t(i))).status.ok());
+    ASSERT_TRUE(sys_->Write(SiteOf(3), 0, 3, 1, Pat(uint64_t(i))).status.ok());
   }
   sim_->Run();
   // Some retransmissions should have happened and been deduplicated (or
   // at least retransmitted) at this loss rate.
   EXPECT_GT(sys_->stats().Get("node.parity_retransmit"), 0u);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(LossyNodeTest, ReadsRetryThroughLoss) {
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(5)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(5)).status.ok());
   for (int i = 0; i < 10; ++i) {
-    auto r = sys_->Read(SiteOf(0), 2, 0);
+    auto r = sys_->Read(SiteOf(0), 0, 2, 0);
     ASSERT_TRUE(r.status.ok()) << "read " << i;
     EXPECT_EQ(r.data, Pat(5));
   }
@@ -362,7 +362,7 @@ TEST_F(NodeTest, RetryExhaustionSurfacesNetworkError) {
   // must fail back to the caller instead of hanging with state leaked.
   net_->SetFaultHook("write_req",
                      [](const Message&) { return FaultAction::kDrop; });
-  auto w = sys_->Write(SiteOf(0), 2, 0, Pat(1));
+  auto w = sys_->Write(SiteOf(0), 0, 2, 0, Pat(1));
   EXPECT_TRUE(w.status.IsNetworkError()) << w.status.ToString();
   EXPECT_EQ(sys_->stats().Get("node.write_retry_exhausted"), 1u);
   EXPECT_GT(sys_->stats().Get("node.write_retry"), 0u);
@@ -372,7 +372,7 @@ TEST_F(NodeTest, RetryExhaustionSurfacesNetworkError) {
   // client can write the same block.
   net_->ClearFaultHooks();
   sim_->Run();
-  auto w2 = sys_->Write(SiteOf(0), 2, 0, Pat(2));
+  auto w2 = sys_->Write(SiteOf(0), 0, 2, 0, Pat(2));
   ASSERT_TRUE(w2.status.ok()) << w2.status.ToString();
 }
 
@@ -385,14 +385,14 @@ TEST_F(NodeTest, ParityGiveUpFailsWriteAndReleasesLock) {
   // surface NetworkError rather than hold the row lock hostage.
   net_->SetFaultHook("parity_update",
                      [](const Message&) { return FaultAction::kDrop; });
-  auto w = sys_->Write(SiteOf(2), 2, 0, Pat(1));
+  auto w = sys_->Write(SiteOf(2), 0, 2, 0, Pat(1));
   EXPECT_TRUE(w.status.IsNetworkError()) << w.status.ToString();
   EXPECT_GT(sys_->stats().Get("node.parity_gave_up"), 0u);
 
   // The lock was released: a later write to the same row succeeds.
   net_->ClearFaultHooks();
   sim_->Run();
-  auto w2 = sys_->Write(SiteOf(2), 2, 0, Pat(2));
+  auto w2 = sys_->Write(SiteOf(2), 0, 2, 0, Pat(2));
   ASSERT_TRUE(w2.status.ok()) << w2.status.ToString();
   sim_->Run();
 
@@ -400,10 +400,10 @@ TEST_F(NodeTest, ParityGiveUpFailsWriteAndReleasesLock) {
   // scrub reconciles the row, after which the invariants must hold and
   // the last acknowledged value must survive.
   for (int m = 0; m < 6; ++m) {
-    ASSERT_TRUE(sys_->group()->ScrubParity(m).ok());
+    ASSERT_TRUE(sys_->group(0)->ScrubParity(m).ok());
   }
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
-  auto r = sys_->Read(SiteOf(0), 2, 0);
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
+  auto r = sys_->Read(SiteOf(0), 0, 2, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(2));
 }
@@ -416,16 +416,17 @@ TEST_F(NodeTest, DuplicatedAndReorderedParityTrafficStaysConsistent) {
   net_->set_duplicate_probability(0.4);
   net_->set_reorder_jitter(Millis(60));
   for (int i = 0; i < 25; ++i) {
-    ASSERT_TRUE(sys_->Write(SiteOf(3), 3, 1, Pat(100 + uint64_t(i))).status.ok());
+    ASSERT_TRUE(
+        sys_->Write(SiteOf(3), 0, 3, 1, Pat(100 + uint64_t(i))).status.ok());
   }
   sim_->Run();  // let delayed duplicates land
   EXPECT_GT(net_->stats().Get("net.dup.parity_update") +
                 net_->stats().Get("net.dup.parity_ack"),
             0u);
   EXPECT_GT(net_->stats().Get("net.reordered"), 0u);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok())
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok())
       << "a duplicated or reordered parity update was double-applied";
-  auto r = sys_->Read(SiteOf(0), 3, 1);
+  auto r = sys_->Read(SiteOf(0), 0, 3, 1);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(124));
 }
@@ -435,7 +436,7 @@ TEST_F(NodeTest, DuplicatedAndReorderedParityTrafficStaysConsistent) {
 // ---------------------------------------------------------------------------
 
 TEST_F(NodeTest, MajorityPartitionOperatesOnSingletonsData) {
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
   // Partition: site of member 2 alone vs everyone else.
   SiteId lone = SiteOf(2);
   std::vector<SiteId> majority;
@@ -448,10 +449,10 @@ TEST_F(NodeTest, MajorityPartitionOperatesOnSingletonsData) {
   for (SiteId s : majority) {
     sys_->SetPresumedState(s, lone, SiteState::kDown);
   }
-  auto r = sys_->Read(SiteOf(0), 2, 0);
+  auto r = sys_->Read(SiteOf(0), 0, 2, 0);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.data, Pat(1));
-  auto w = sys_->Write(SiteOf(0), 2, 0, Pat(2));
+  auto w = sys_->Write(SiteOf(0), 0, 2, 0, Pat(2));
   ASSERT_TRUE(w.status.ok());
 
   // Heal; the singleton re-enters through the recovering protocol.
@@ -460,14 +461,14 @@ TEST_F(NodeTest, MajorityPartitionOperatesOnSingletonsData) {
   ASSERT_TRUE(cluster_->CrashSite(lone).ok());  // formalize its outage
   ASSERT_TRUE(cluster_->RestoreSite(lone).ok());
   sim_->Run();
-  ASSERT_TRUE(sys_->group()->RunRecovery(2).ok());
-  auto back = sys_->Read(lone, 2, 0);
+  ASSERT_TRUE(sys_->group(0)->RunRecovery(2).ok());
+  auto back = sys_->Read(lone, 0, 2, 0);
   ASSERT_TRUE(back.status.ok());
   EXPECT_EQ(back.data, Pat(2));
 }
 
 TEST_F(NodeTest, MultiWayPartitionBlocks) {
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
   // Split 3/3: neither side can reconstruct (needs G+1 = 5 peers).
   std::vector<SiteId> a = {SiteOf(0), SiteOf(1), SiteOf(2)};
   std::vector<SiteId> b = {SiteOf(3), SiteOf(4), SiteOf(5)};
@@ -476,7 +477,7 @@ TEST_F(NodeTest, MultiWayPartitionBlocks) {
   // From partition B, member 2's data needs reconstruction, whose sources
   // span the cut: the operation must fail rather than return stale data.
   NodeConfig nc;
-  auto r = sys_->Read(SiteOf(3), 2, 0);
+  auto r = sys_->Read(SiteOf(3), 0, 2, 0);
   EXPECT_FALSE(r.status.ok());
 }
 

@@ -151,7 +151,7 @@ class ParityBatchTest : public ::testing::Test {
     b.FillPattern(seed);
     return b;
   }
-  SiteId SiteOf(int m) { return sys_->group()->SiteOfMember(m); }
+  SiteId SiteOf(int m) { return sys_->group(0)->SiteOfMember(m); }
 
   RaddConfig config_;
   std::unique_ptr<Simulator> sim_;
@@ -161,15 +161,15 @@ class ParityBatchTest : public ::testing::Test {
 };
 
 TEST_F(ParityBatchTest, SingleWriteCompletesViaBatch) {
-  auto w = sys_->Write(SiteOf(2), 2, 0, Pat(1));
+  auto w = sys_->Write(SiteOf(2), 0, 2, 0, Pat(1));
   ASSERT_TRUE(w.status.ok()) << w.status.ToString();
   // The lone write waits out the group-commit delay before its frame
   // flushes: latency = W (30) + max_delay (2) + parity round trip.
   EXPECT_GT(w.latency, Micros(105000));
   sim_->Run();
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
   EXPECT_EQ(sys_->stats().Get("node.batches_sent"), 1u);
-  auto r = sys_->Read(SiteOf(2), 2, 0);
+  auto r = sys_->Read(SiteOf(2), 0, 2, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(1));
 }
@@ -177,15 +177,15 @@ TEST_F(ParityBatchTest, SingleWriteCompletesViaBatch) {
 TEST_F(ParityBatchTest, ManyWritesPreserveInvariantsAndReduceMessages) {
   for (int round = 0; round < 3; ++round) {
     for (int m = 0; m < 6; ++m) {
-      for (BlockNum i = 0; i < sys_->group()->DataBlocksPerMember(); ++i) {
-        ASSERT_TRUE(sys_->Write(SiteOf(m), m, i,
+      for (BlockNum i = 0; i < sys_->group(0)->DataBlocksPerMember(); ++i) {
+        ASSERT_TRUE(sys_->Write(SiteOf(m), 0, m, i,
                                 Pat(uint64_t(round) * 100 + m * 10 + i))
                         .status.ok());
       }
     }
   }
   sim_->Run();
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
   const uint64_t staged = sys_->stats().Get("node.parity_staged");
   const uint64_t frames = net_->stats().Get("net.messages.parity_batch");
   EXPECT_GT(staged, 0u);
@@ -202,8 +202,8 @@ TEST_F(ParityBatchTest, OpCountThresholdFlushesEarly) {
   Build(0.0, pb);
   // Pick two data blocks of home 0 whose rows share a parity member, so
   // both updates land in the same staging buffer.
-  const PlacementMap& lay = sys_->layout();
-  const BlockNum nblocks = sys_->group()->DataBlocksPerMember();
+  const PlacementMap& lay = sys_->layout(0);
+  const BlockNum nblocks = sys_->group(0)->DataBlocksPerMember();
   BlockNum i1 = 0, i2 = 0;
   bool found = false;
   for (BlockNum a = 0; a < nblocks && !found; ++a) {
@@ -218,14 +218,14 @@ TEST_F(ParityBatchTest, OpCountThresholdFlushesEarly) {
   }
   ASSERT_TRUE(found);
   int done = 0;
-  sys_->AsyncWrite(SiteOf(0), 0, i1, Pat(1),
+  sys_->AsyncWrite(SiteOf(0), 0, 0, i1, Pat(1),
                    [&](Status st, SimTime) { ASSERT_TRUE(st.ok()); ++done; });
-  sys_->AsyncWrite(SiteOf(0), 0, i2, Pat(2),
+  sys_->AsyncWrite(SiteOf(0), 0, 0, i2, Pat(2),
                    [&](Status st, SimTime) { ASSERT_TRUE(st.ok()); ++done; });
   sim_->Run();
   EXPECT_EQ(done, 2);
   EXPECT_EQ(sys_->stats().Get("node.batches_sent"), 1u);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(ParityBatchTest, DuplicatedFrameAppliesOnce) {
@@ -233,15 +233,15 @@ TEST_F(ParityBatchTest, DuplicatedFrameAppliesOnce) {
     return FaultAction::kDuplicate;
   });
   for (BlockNum i = 0; i < 4; ++i) {
-    ASSERT_TRUE(sys_->Write(SiteOf(1), 1, i, Pat(i + 1)).status.ok());
+    ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 1, i, Pat(i + 1)).status.ok());
   }
   sim_->Run();
   // Every frame arrived twice; the copy must be recognized by its batch
   // seq and never re-applied (XOR re-apply would corrupt the parity).
   EXPECT_GT(sys_->stats().Get("node.batch_duplicate"), 0u);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
   for (BlockNum i = 0; i < 4; ++i) {
-    auto r = sys_->Read(SiteOf(1), 1, i);
+    auto r = sys_->Read(SiteOf(1), 0, 1, i);
     ASSERT_TRUE(r.status.ok());
     EXPECT_EQ(r.data, Pat(i + 1));
   }
@@ -257,12 +257,12 @@ TEST_F(ParityBatchTest, DroppedFrameIsRetransmitted) {
                        }
                        return FaultAction::kDeliver;
                      });
-  auto w = sys_->Write(SiteOf(2), 2, 0, Pat(9));
+  auto w = sys_->Write(SiteOf(2), 0, 2, 0, Pat(9));
   ASSERT_TRUE(w.status.ok()) << w.status.ToString();
   EXPECT_EQ(dropped, 2);
   EXPECT_GE(sys_->stats().Get("node.batch_retransmit"), 2u);
   sim_->Run();
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(ParityBatchTest, DroppedAckIsResolvedByReplayedAck) {
@@ -275,20 +275,20 @@ TEST_F(ParityBatchTest, DroppedAckIsResolvedByReplayedAck) {
                        }
                        return FaultAction::kDeliver;
                      });
-  auto w = sys_->Write(SiteOf(2), 2, 0, Pat(5));
+  auto w = sys_->Write(SiteOf(2), 0, 2, 0, Pat(5));
   ASSERT_TRUE(w.status.ok()) << w.status.ToString();
   // The retransmitted frame hits the seq table; the recorded ack is
   // replayed verbatim, and the parity was applied exactly once.
   EXPECT_GE(sys_->stats().Get("node.batch_duplicate"), 1u);
   sim_->Run();
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(ParityBatchTest, ExhaustedRetriesFailTheWrite) {
   net_->SetFaultHook(MessageType::kParityBatch, [](const Message&) {
     return FaultAction::kDrop;  // the parity site never hears anything
   });
-  auto w = sys_->Write(SiteOf(2), 2, 0, Pat(1));
+  auto w = sys_->Write(SiteOf(2), 0, 2, 0, Pat(1));
   // §5 commit condition: no parity ack, no completed write.
   EXPECT_FALSE(w.status.ok());
   EXPECT_GT(sys_->stats().Get("node.batch_gave_up"), 0u);
@@ -303,16 +303,16 @@ TEST_F(ParityBatchTest, ConcurrentSameRowWritesCoalesce) {
   pb.max_delay = Millis(50);  // wide window so both writes stage
   Build(0.0, pb);
   int done = 0;
-  sys_->AsyncWrite(SiteOf(3), 3, 2, Pat(1),
+  sys_->AsyncWrite(SiteOf(3), 0, 3, 2, Pat(1),
                    [&](Status st, SimTime) { ASSERT_TRUE(st.ok()); ++done; });
-  sys_->AsyncWrite(SiteOf(3), 3, 2, Pat(2),
+  sys_->AsyncWrite(SiteOf(3), 0, 3, 2, Pat(2),
                    [&](Status st, SimTime) { ASSERT_TRUE(st.ok()); ++done; });
   sim_->Run();
   EXPECT_EQ(done, 2);
   // Both ops rode one frame with one merged entry.
   EXPECT_EQ(sys_->stats().Get("node.batches_sent"), 1u);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
-  auto r = sys_->Read(SiteOf(3), 3, 2);
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
+  auto r = sys_->Read(SiteOf(3), 0, 3, 2);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(2));  // the later write's value
 }
@@ -322,19 +322,19 @@ TEST_F(ParityBatchTest, RandomLossStressHoldsInvariants) {
   int completed = 0;
   for (int round = 0; round < 4; ++round) {
     for (int m = 0; m < 6; ++m) {
-      auto w = sys_->Write(SiteOf(m), m, round % 2, Pat(round * 7 + m));
+      auto w = sys_->Write(SiteOf(m), 0, m, round % 2, Pat(round * 7 + m));
       if (w.status.ok()) ++completed;
     }
   }
   sim_->Run();
   EXPECT_GT(completed, 0);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(ParityBatchTest, BatchingOffSendsPlainParityUpdates) {
   ParityBatchConfig pb;  // disabled
   Build(0.0, pb);
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(1)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(1)).status.ok());
   sim_->Run();
   EXPECT_EQ(net_->stats().Get("net.messages.parity_batch"), 0u);
   EXPECT_EQ(sys_->stats().Get("node.parity_staged"), 0u);

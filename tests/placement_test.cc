@@ -11,6 +11,7 @@
 
 #include <map>
 #include <memory>
+#include <ostream>
 #include <set>
 #include <string>
 #include <vector>
@@ -208,6 +209,12 @@ struct MapCase {
   int sites;  // 0 = rotated
   BlockNum rows;
 };
+
+// A stable test name: gtest's default printer would dump the string's
+// heap pointer, which changes from one run to the next.
+void PrintTo(const MapCase& c, std::ostream* os) {
+  *os << c.name;
+}
 
 class PlacementPropertyTest : public ::testing::TestWithParam<MapCase> {
  protected:

@@ -32,8 +32,8 @@ class PqNodeTest : public ::testing::Test {
     b.FillPattern(seed);
     return b;
   }
-  SiteId SiteOf(int m) { return sys_->group()->SiteOfMember(m); }
-  const PlacementMap& Lay() { return sys_->group()->layout(); }
+  SiteId SiteOf(int m) { return sys_->group(0)->SiteOfMember(m); }
+  const PlacementMap& Lay() { return sys_->group(0)->layout(); }
   BlockNum RowOf(int m, BlockNum i) {
     return Lay().DataToRow(static_cast<SiteId>(m), i);
   }
@@ -49,7 +49,7 @@ class PqNodeTest : public ::testing::Test {
   /// A client site that is none of the given sites (always exists: at
   /// most three sites are excluded and the cluster has seven).
   SiteId OtherSite(std::initializer_list<SiteId> avoid) {
-    for (int m = 0; m < sys_->group()->num_members(); ++m) {
+    for (int m = 0; m < sys_->group(0)->num_members(); ++m) {
       SiteId s = SiteOf(m);
       bool excluded = false;
       for (SiteId a : avoid) excluded |= (a == s);
@@ -60,7 +60,7 @@ class PqNodeTest : public ::testing::Test {
   /// First index of member `home` whose row also has `other` in a data
   /// role (so crashing both erases two data blocks of one row).
   BlockNum SharedDataIndex(int home, int other) {
-    for (BlockNum i = 0; i < sys_->group()->DataBlocksPerMember(); ++i) {
+    for (BlockNum i = 0; i < sys_->group(0)->DataBlocksPerMember(); ++i) {
       if (Lay().RoleOf(static_cast<SiteId>(other), RowOf(home, i)) ==
           BlockRole::kData) {
         return i;
@@ -72,9 +72,9 @@ class PqNodeTest : public ::testing::Test {
   }
 
   void WriteAll(uint64_t salt = 0) {
-    for (int m = 0; m < sys_->group()->num_members(); ++m) {
-      for (BlockNum i = 0; i < sys_->group()->DataBlocksPerMember(); ++i) {
-        ASSERT_TRUE(sys_->Write(SiteOf(m), m, i,
+    for (int m = 0; m < sys_->group(0)->num_members(); ++m) {
+      for (BlockNum i = 0; i < sys_->group(0)->DataBlocksPerMember(); ++i) {
+        ASSERT_TRUE(sys_->Write(SiteOf(m), 0, m, i,
                                 Pat(salt + uint64_t(m) * 100 + i))
                         .status.ok());
       }
@@ -91,13 +91,13 @@ class PqNodeTest : public ::testing::Test {
 TEST_F(PqNodeTest, WritesMaintainBothParityInvariants) {
   WriteAll();
   sim_->Run();  // drain side effects
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(PqNodeTest, WriteLatencyUnchangedBySecondParityLeg) {
   // The P and Q legs run in parallel, so the §5 commit condition costs
   // one parity round trip even with two parities: W + RW = 105 ms.
-  auto w = sys_->Write(SiteOf(2), 2, 0, Pat(1));
+  auto w = sys_->Write(SiteOf(2), 0, 2, 0, Pat(1));
   ASSERT_TRUE(w.status.ok());
   EXPECT_EQ(w.latency, Micros(105000));
 }
@@ -108,16 +108,16 @@ TEST_F(PqNodeTest, BatchedWritesMaintainBothParityInvariants) {
   Build(nc);
   WriteAll();
   sim_->Run();
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(PqNodeTest, ReadSurvivesHomePlusSpareCrash) {
   const BlockNum row = RowOf(2, 0);
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(7)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(7)).status.ok());
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(2)).ok());
   ASSERT_TRUE(cluster_->CrashSite(SpareSiteOf(row)).ok());
   SiteId client = OtherSite({SiteOf(2), SpareSiteOf(row)});
-  auto r = sys_->Read(client, 2, 0);
+  auto r = sys_->Read(client, 0, 2, 0);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.data, Pat(7));
   // The dead spare was skipped, not waited out.
@@ -132,7 +132,7 @@ TEST_F(PqNodeTest, ReadSurvivesTwoDataMemberCrashes) {
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(2)).ok());
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(3)).ok());
   SiteId client = OtherSite({SiteOf(2), SiteOf(3)});
-  auto r = sys_->Read(client, 2, i);
+  auto r = sys_->Read(client, 0, 2, i);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.data, Pat(5 + 200 + i));
   EXPECT_GT(sys_->stats().Get("node.recon_two_erasure"), 0u);
@@ -140,11 +140,11 @@ TEST_F(PqNodeTest, ReadSurvivesTwoDataMemberCrashes) {
 
 TEST_F(PqNodeTest, ReadDecodesViaQWhenPSiteDown) {
   const BlockNum row = RowOf(2, 0);
-  ASSERT_TRUE(sys_->Write(SiteOf(2), 2, 0, Pat(9)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 0, Pat(9)).status.ok());
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(2)).ok());
   ASSERT_TRUE(cluster_->CrashSite(PSiteOf(row)).ok());
   SiteId client = OtherSite({SiteOf(2), PSiteOf(row)});
-  auto r = sys_->Read(client, 2, 0);
+  auto r = sys_->Read(client, 0, 2, 0);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.data, Pat(9));
   EXPECT_GT(sys_->stats().Get("node.degraded_reads.q"), 0u);
@@ -156,13 +156,13 @@ TEST_F(PqNodeTest, CrashWriteRecoverRoundTripRebuildsQ) {
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(1)).ok());
   // Writes while down route through the spare; rows where site 1 is a
   // parity role get their legs dropped and must be rebuilt by recovery.
-  ASSERT_TRUE(sys_->Write(SiteOf(4), 1, 2, Pat(42)).status.ok());
-  ASSERT_TRUE(sys_->Write(SiteOf(0), 0, 1, Pat(43)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(4), 0, 1, 2, Pat(42)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(0), 0, 0, 1, Pat(43)).status.ok());
   ASSERT_TRUE(cluster_->RestoreSite(SiteOf(1)).ok());
   sim_->Run();
-  ASSERT_TRUE(sys_->group()->RunRecovery(1).ok());
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
-  auto r = sys_->Read(SiteOf(1), 1, 2);
+  ASSERT_TRUE(sys_->group(0)->RunRecovery(1).ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
+  auto r = sys_->Read(SiteOf(1), 0, 1, 2);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(42));
 }
@@ -171,7 +171,7 @@ TEST_F(PqNodeTest, DegradedWriteUpdatesBothParities) {
   WriteAll(17);
   sim_->Run();
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(2)).ok());
-  auto w = sys_->Write(SiteOf(0), 2, 0, Pat(55));
+  auto w = sys_->Write(SiteOf(0), 0, 2, 0, Pat(55));
   ASSERT_TRUE(w.status.ok()) << w.status.ToString();
   sim_->Run();
   // The spare now carries the value and both parities its delta; a
@@ -180,7 +180,7 @@ TEST_F(PqNodeTest, DegradedWriteUpdatesBothParities) {
   const BlockNum row = RowOf(2, 0);
   ASSERT_TRUE(cluster_->CrashSite(SpareSiteOf(row)).ok());
   SiteId client = OtherSite({SiteOf(2), SpareSiteOf(row)});
-  auto r = sys_->Read(client, 2, 0);
+  auto r = sys_->Read(client, 0, 2, 0);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
   EXPECT_EQ(r.data, Pat(55));
 }

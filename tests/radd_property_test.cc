@@ -204,7 +204,7 @@ TEST_P(AsyncPropertyTest, RandomScheduleMatchesShadowModel) {
   ShadowModel shadow;
 
   const int members = 6;
-  const BlockNum blocks = sys.group()->DataBlocksPerMember();
+  const BlockNum blocks = sys.group(0)->DataBlocksPerMember();
   int down_member = -1;
 
   auto up_site = [&](int exclude) {
@@ -212,7 +212,7 @@ TEST_P(AsyncPropertyTest, RandomScheduleMatchesShadowModel) {
     do {
       m = static_cast<int>(rng.Uniform(static_cast<uint64_t>(members)));
     } while (m == exclude);
-    return sys.group()->SiteOfMember(m);
+    return sys.group(0)->SiteOfMember(m);
   };
 
   for (int step = 0; step < 250; ++step) {
@@ -225,8 +225,8 @@ TEST_P(AsyncPropertyTest, RandomScheduleMatchesShadowModel) {
       Block data(config.block_size);
       data.FillPattern(rng.Next());
       SiteId client =
-          m == down_member ? up_site(m) : sys.group()->SiteOfMember(m);
-      auto w = sys.Write(client, m, b, data);
+          m == down_member ? up_site(m) : sys.group(0)->SiteOfMember(m);
+      auto w = sys.Write(client, 0, m, b, data);
       if (w.status.ok()) {
         shadow.Write(m, b, data);
       }
@@ -234,8 +234,8 @@ TEST_P(AsyncPropertyTest, RandomScheduleMatchesShadowModel) {
       int m = static_cast<int>(rng.Uniform(static_cast<uint64_t>(members)));
       BlockNum b = rng.Uniform(blocks);
       SiteId client =
-          m == down_member ? up_site(m) : sys.group()->SiteOfMember(m);
-      auto r = sys.Read(client, m, b);
+          m == down_member ? up_site(m) : sys.group(0)->SiteOfMember(m);
+      auto r = sys.Read(client, 0, m, b);
       if (r.status.ok()) {
         EXPECT_EQ(r.data, shadow.Expected(m, b, config.block_size))
             << "member " << m << " block " << b;
@@ -245,31 +245,31 @@ TEST_P(AsyncPropertyTest, RandomScheduleMatchesShadowModel) {
       down_member =
           static_cast<int>(rng.Uniform(static_cast<uint64_t>(members)));
       ASSERT_TRUE(
-          cluster.CrashSite(sys.group()->SiteOfMember(down_member)).ok());
+          cluster.CrashSite(sys.group(0)->SiteOfMember(down_member)).ok());
     } else if (dice < 96) {
       if (down_member < 0) continue;
-      SiteId victim = sys.group()->SiteOfMember(down_member);
+      SiteId victim = sys.group(0)->SiteOfMember(down_member);
       ASSERT_TRUE(cluster.RestoreSite(victim).ok());
       sim.Run();  // drain in-flight traffic before the sweep
-      ASSERT_TRUE(sys.group()->RunRecovery(down_member).ok());
+      ASSERT_TRUE(sys.group(0)->RunRecovery(down_member).ok());
       down_member = -1;
     } else {
       sim.Run();
-      ASSERT_TRUE(sys.group()->VerifyInvariants().ok());
+      ASSERT_TRUE(sys.group(0)->VerifyInvariants().ok());
     }
   }
 
   if (down_member >= 0) {
-    SiteId victim = sys.group()->SiteOfMember(down_member);
+    SiteId victim = sys.group(0)->SiteOfMember(down_member);
     ASSERT_TRUE(cluster.RestoreSite(victim).ok());
     sim.Run();
-    ASSERT_TRUE(sys.group()->RunRecovery(down_member).ok());
+    ASSERT_TRUE(sys.group(0)->RunRecovery(down_member).ok());
   }
   sim.Run();
-  ASSERT_TRUE(sys.group()->VerifyInvariants().ok());
+  ASSERT_TRUE(sys.group(0)->VerifyInvariants().ok());
   for (int m = 0; m < members; ++m) {
     for (BlockNum b = 0; b < blocks; ++b) {
-      auto r = sys.Read(sys.group()->SiteOfMember(m), m, b);
+      auto r = sys.Read(sys.group(0)->SiteOfMember(m), 0, m, b);
       ASSERT_TRUE(r.status.ok());
       EXPECT_EQ(r.data, shadow.Expected(m, b, config.block_size))
           << "member " << m << " block " << b;
@@ -312,8 +312,8 @@ TEST(AsyncHotBlock, ConcurrentWritesWithRetriesStayConsistent) {
     Block b(config.block_size);
     b.FillPattern(static_cast<uint64_t>(i));
     // Everyone hammers member 2's block 0.
-    SiteId client = sys.group()->SiteOfMember(i % 6);
-    sys.AsyncWrite(client, 2, 0, b, [&](Status st, SimTime) {
+    SiteId client = sys.group(0)->SiteOfMember(i % 6);
+    sys.AsyncWrite(client, 0, 2, 0, b, [&](Status st, SimTime) {
       ++done;
       if (st.ok()) ++ok;
     });
@@ -321,7 +321,7 @@ TEST(AsyncHotBlock, ConcurrentWritesWithRetriesStayConsistent) {
   sim.Run();
   EXPECT_EQ(done, kWrites);
   EXPECT_GT(ok, kWrites / 2);
-  EXPECT_TRUE(sys.group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys.group(0)->VerifyInvariants().ok());
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <ostream>
+
 #include "schemes/local_raid.h"
 #include "schemes/radd2d.h"
 #include "schemes/rowb.h"
@@ -300,6 +302,13 @@ struct Fig3Case {
   const char* formula;  // expected measured formula
 };
 
+// gtest's default printer dumps the struct's raw bytes, pointers and
+// padding included, and CTest builds each test's name from that dump, so
+// the names would change from one run to the next.
+void PrintTo(const Fig3Case& c, std::ostream* os) {
+  *os << c.scheme << ", " << ScenarioName(c.scenario);
+}
+
 class Fig3Test : public ::testing::TestWithParam<Fig3Case> {};
 
 TEST_P(Fig3Test, MeasuredCountsMatch) {
@@ -390,6 +399,10 @@ struct PqFig3Case {
   Scenario scenario;
   const char* formula;
 };
+
+void PrintTo(const PqFig3Case& c, std::ostream* os) {
+  *os << ScenarioName(c.scenario);
+}
 
 class PqFig3Test : public ::testing::TestWithParam<PqFig3Case> {};
 

@@ -41,7 +41,7 @@ class SweeperTest : public ::testing::Test {
   }
 
   void StartSweeper(SweeperConfig cfg = {}) {
-    sweeper_.emplace(sim_.get(), sys_->group(), &*service_, cfg);
+    sweeper_.emplace(sim_.get(), sys_->group(0), &*service_, cfg);
     sweeper_->Start();
   }
 
@@ -50,10 +50,11 @@ class SweeperTest : public ::testing::Test {
     b.FillPattern(seed);
     return b;
   }
-  SiteId SiteOf(int m) { return sys_->group()->SiteOfMember(m); }
+  SiteId SiteOf(int m) { return sys_->group(0)->SiteOfMember(m); }
   void PopulateMember(int m, uint64_t seed_base) {
-    for (BlockNum i = 0; i < sys_->group()->DataBlocksPerMember(); ++i) {
-      ASSERT_TRUE(sys_->Write(SiteOf(0), m, i, Pat(seed_base + i)).status.ok());
+    for (BlockNum i = 0; i < sys_->group(0)->DataBlocksPerMember(); ++i) {
+      ASSERT_TRUE(
+          sys_->Write(SiteOf(0), 0, m, i, Pat(seed_base + i)).status.ok());
     }
     sim_->Run();
   }
@@ -74,8 +75,8 @@ TEST_F(SweeperTest, PacedSweepDrainsSparesAndMarksUp) {
   ASSERT_TRUE(service_->InjectCrash(SiteOf(2)).ok());
   // Writes during the outage land on spares (the ledger the sweep must
   // honor before the member may serve again).
-  ASSERT_TRUE(sys_->Write(SiteOf(0), 2, 1, Pat(201)).status.ok());
-  ASSERT_TRUE(sys_->Write(SiteOf(1), 2, 5, Pat(205)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(0), 0, 2, 1, Pat(201)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 2, 5, Pat(205)).status.ok());
   sim_->Run();
 
   ASSERT_TRUE(service_->NotifyRestart(SiteOf(2)).ok());
@@ -91,11 +92,11 @@ TEST_F(SweeperTest, PacedSweepDrainsSparesAndMarksUp) {
   EXPECT_FALSE(sweeper_->active(2));
   EXPECT_EQ(sweeper_->cursor(2), 0u) << "cursor resets after completion";
 
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
-  auto r1 = sys_->Read(SiteOf(3), 2, 1);
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
+  auto r1 = sys_->Read(SiteOf(3), 0, 2, 1);
   ASSERT_TRUE(r1.status.ok());
   EXPECT_EQ(r1.data, Pat(201));
-  auto r5 = sys_->Read(SiteOf(3), 2, 5);
+  auto r5 = sys_->Read(SiteOf(3), 0, 2, 5);
   ASSERT_TRUE(r5.status.ok());
   EXPECT_EQ(r5.data, Pat(205));
 }
@@ -105,8 +106,8 @@ TEST_F(SweeperTest, CrashMidSweepResumesAtCursor) {
   StartSweeper();
 
   ASSERT_TRUE(service_->InjectCrash(SiteOf(2)).ok());
-  ASSERT_TRUE(sys_->Write(SiteOf(0), 2, 2, Pat(302)).status.ok());
-  ASSERT_TRUE(sys_->Write(SiteOf(1), 2, 7, Pat(307)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(0), 0, 2, 2, Pat(302)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 2, 7, Pat(307)).status.ok());
   sim_->Run();
 
   ASSERT_TRUE(service_->NotifyRestart(SiteOf(2)).ok());
@@ -128,15 +129,15 @@ TEST_F(SweeperTest, CrashMidSweepResumesAtCursor) {
   // swept across both passes is exactly one pass over the member.
   EXPECT_EQ(sweeper_->stats().Get("sweeper.rows_swept"),
             static_cast<uint64_t>(config_.rows));
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
   // No acked write lost across the double outage.
-  auto r2 = sys_->Read(SiteOf(3), 2, 2);
+  auto r2 = sys_->Read(SiteOf(3), 0, 2, 2);
   ASSERT_TRUE(r2.status.ok());
   EXPECT_EQ(r2.data, Pat(302));
-  auto r7 = sys_->Read(SiteOf(3), 2, 7);
+  auto r7 = sys_->Read(SiteOf(3), 0, 2, 7);
   ASSERT_TRUE(r7.status.ok());
   EXPECT_EQ(r7.data, Pat(307));
-  auto r0 = sys_->Read(SiteOf(3), 2, 0);
+  auto r0 = sys_->Read(SiteOf(3), 0, 2, 0);
   ASSERT_TRUE(r0.status.ok());
   EXPECT_EQ(r0.data, Pat(300));
 }
@@ -154,15 +155,15 @@ TEST_F(SweeperTest, RowsDirtiedBehindTheCursorAreRescanned) {
   // lands on a spare behind the cursor. Blind resume would miss it; the
   // verification scan must catch it and rewind.
   ASSERT_TRUE(service_->InjectCrash(SiteOf(2)).ok());
-  ASSERT_TRUE(sys_->Write(SiteOf(0), 2, 0, Pat(999)).status.ok());
+  ASSERT_TRUE(sys_->Write(SiteOf(0), 0, 2, 0, Pat(999)).status.ok());
   sim_->Run();
   ASSERT_TRUE(service_->NotifyRestart(SiteOf(2)).ok());
   sim_->Run();
 
   EXPECT_EQ(cluster_->StateOf(SiteOf(2)), SiteState::kUp);
   EXPECT_GE(sweeper_->stats().Get("sweeper.rescans"), 1u);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
-  auto r = sys_->Read(SiteOf(3), 2, 0);
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
+  auto r = sys_->Read(SiteOf(3), 0, 2, 0);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(999)) << "spare behind the cursor must be drained";
 }
@@ -182,7 +183,7 @@ TEST_F(SweeperTest, ForegroundTrafficFlowsDuringSweep) {
   int completed = 0, failed = 0;
   for (int i = 0; i < 8; ++i) {
     sim_->Schedule(Millis(5 * i), [this, i, &completed, &failed]() {
-      sys_->AsyncWrite(SiteOf(3), 1, static_cast<BlockNum>(i % 4),
+      sys_->AsyncWrite(SiteOf(3), 0, 1, static_cast<BlockNum>(i % 4),
                        Pat(700 + i), [&](Status st, SimTime) {
                          ++completed;
                          if (!st.ok()) ++failed;
@@ -199,7 +200,7 @@ TEST_F(SweeperTest, ForegroundTrafficFlowsDuringSweep) {
   // even an idle tick is capped at rows_per_tick rows.
   EXPECT_LE(sweeper_->stats().Percentile("sweeper.tick_ops", 100.0),
             6.0 * cfg.rows_per_tick);
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(SweeperTest, DiskFailureSweepWithoutRestart) {
@@ -211,12 +212,12 @@ TEST_F(SweeperTest, DiskFailureSweepWithoutRestart) {
   EXPECT_TRUE(sweeper_->active(1));
   sim_->Run();
   EXPECT_EQ(cluster_->StateOf(SiteOf(1)), SiteState::kUp);
-  for (BlockNum i = 0; i < sys_->group()->DataBlocksPerMember(); ++i) {
-    auto r = sys_->Read(SiteOf(0), 1, i);
+  for (BlockNum i = 0; i < sys_->group(0)->DataBlocksPerMember(); ++i) {
+    auto r = sys_->Read(SiteOf(0), 0, 1, i);
     ASSERT_TRUE(r.status.ok()) << "block " << i << ": " << r.status.ToString();
     EXPECT_EQ(r.data, Pat(500 + i));
   }
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(SweeperTest, StaleEpochMessageFromOldIncarnationRejected) {
@@ -237,7 +238,7 @@ TEST_F(SweeperTest, StaleEpochMessageFromOldIncarnationRejected) {
   net_->SetFaultHook("spare_write_req",
                      [](const Message&) { return FaultAction::kDrop; });
   bool done = false;
-  sys_->AsyncWrite(SiteOf(0), 2, 3, Pat(777),
+  sys_->AsyncWrite(SiteOf(0), 0, 2, 3, Pat(777),
                    [&](Status, SimTime) { done = true; });
   sim_->RunUntil(sim_->Now() + Millis(120));
   ASSERT_TRUE(delayed.has_value()) << "no parity update captured";
@@ -265,10 +266,10 @@ TEST_F(SweeperTest, StaleEpochMessageFromOldIncarnationRejected) {
   // Redundancy is intact: scrubs find nothing structural to repair and
   // every value reads back.
   for (int m = 0; m < 6; ++m) {
-    ASSERT_TRUE(sys_->group()->ScrubData(m).ok());
-    ASSERT_TRUE(sys_->group()->ScrubParity(m).ok());
+    ASSERT_TRUE(sys_->group(0)->ScrubData(m).ok());
+    ASSERT_TRUE(sys_->group(0)->ScrubParity(m).ok());
   }
-  EXPECT_TRUE(sys_->group()->VerifyInvariants().ok());
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 }  // namespace
