@@ -99,7 +99,7 @@ int main() {
                FormatDouble(lat.Mean("w"), 1),
                FormatDouble(lat.Percentile("w", 95), 1),
                std::to_string(
-                   s.nodes->stats().Get("node.parity_retransmit")) +
+                   s.nodes->stats().Get("node.batch_retransmit")) +
                    (inv.ok() ? "" : "  INVARIANT VIOLATION")});
     if (!inv.ok()) return 1;
   }

@@ -119,8 +119,9 @@ int main() {
               static_cast<unsigned long long>(net.stats().Get("net.bytes")),
               static_cast<unsigned long long>(net.stats().Get("net.dropped")),
               static_cast<unsigned long long>(
-                  radd.stats().Get("node.parity_retransmit")),
+                  radd.stats().Get("node.batch_retransmit")),
               static_cast<unsigned long long>(
+                  radd.stats().Get("node.batch_duplicate") +
                   radd.stats().Get("node.parity_duplicate")));
   return inv.ok() ? 0 : 1;
 }

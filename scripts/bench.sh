@@ -113,8 +113,9 @@ pb = load("parity")
 pb_doc = stamp({k: v for k, v in pb[0].items() if k != "results"})
 pb_doc["runs"] = runs
 pb_doc["description"] = (
-    "Batched parity pipeline (DESIGN.md section 10) vs the unbatched "
-    "protocol on the hot-record workload of bench/bench_parity_batching. "
+    "Batched parity pipeline (DESIGN.md section 10) vs batching off (the "
+    "same coalescer, flush threshold one) on the hot-record workload of "
+    "bench/bench_parity_batching. "
     "Message and byte counts are deterministic; wall_ms / ops_per_sec are "
     "per-mode medians over the runs.")
 pb_doc["results"] = median_by_mode(pb, ["wall_ms", "ops_per_sec"])

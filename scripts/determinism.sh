@@ -48,12 +48,13 @@ benches=(bench_fig3_opcounts bench_sec74_network bench_fig2_space
          bench_sec34_recovery bench_async_latency)
 examples=(quickstart protocol_simulation disaster_recovery distributed_dbms
           heterogeneous_sites scheme_comparison)
-chaos_names=(manual autopilot batch pq codec modeled-disk groups4-autopilot
-             declustered-expand)
+chaos_names=(manual autopilot batch pq batch-pq-autopilot codec modeled-disk
+             groups4-autopilot declustered-expand)
 chaos_flags=(""
              "--autopilot"
              "--batch"
              "--scheme pq"
+             "--batch --scheme pq --autopilot"
              "--codec"
              "--spindles 4 --disk-policy deadline --cache-blocks 64"
              "--groups 4 --autopilot"

@@ -17,9 +17,6 @@ struct RaddNodeSystem::Node {
   RaddNodeSystem* sys;
   SiteId self;
   LockManager locks;
-  /// Parity updates and spare writes awaiting our local disk; keyed by op
-  /// for ack bookkeeping.
-  std::map<uint64_t, uint64_t> parity_timers;  // op -> sim timer id
 
   // Pending server-side flows that needed a lock.
   struct Waiting {
@@ -249,6 +246,19 @@ struct RaddNodeSystem::Node {
     Send(reply_to, reply_type, std::move(reply), 0);
   }
 
+  /// Surfaces a write's parity failure. A stale-epoch refusal is retryable
+  /// and side-effect-free from the client's view — its restamped retry
+  /// must run a fresh flow — so it is not recorded in the dedupe table.
+  void FailWrite(uint64_t op, SiteId reply_to, MessageType reply_type,
+                 Status st) {
+    if (st.IsStaleEpoch()) {
+      write_flows.erase(op);
+      Send(reply_to, reply_type, WriteReply{op, std::move(st)}, 0);
+      return;
+    }
+    CompleteWrite(op, reply_to, reply_type, WriteReply{op, std::move(st)});
+  }
+
   void OnWriteReq(Message& msg) {
     // Take the payload (it carries a full block): this delivery is its
     // final stop, so the flow below owns the buffer without a copy.
@@ -419,15 +429,16 @@ struct RaddNodeSystem::Node {
       const int g = req.group;
       const int home = req.home;
       const BlockNum row = req.row;
-      // Batched mode releases the row lock as soon as the local write and
-      // its staged mask are in place: parity deltas for the same row
-      // XOR-merge associatively (formula 1), so the next writer may chain
-      // immediately and its delta coalesces into the same frame. The
+      // The row lock is released as soon as the local write and its staged
+      // mask are in place: parity deltas for the same row XOR-merge
+      // associatively (formula 1), so the next writer may chain
+      // immediately and its delta coalesces into the same entry. The
       // client's completion still waits for the batch ack (§5's commit
-      // condition). The recovering path keeps the lock until the ack
-      // because it also invalidates the spare.
-      const bool early_unlock =
-          sys->node_config_.parity_batch.enabled && !invalidate_spare;
+      // condition). The local copy may now run ahead of the entry in
+      // flight; CheckBatchEntry and HoldsChange keep the parity exact.
+      // The recovering path keeps the lock until the ack because it also
+      // invalidates the spare.
+      const bool early_unlock = !invalidate_spare;
       SendParityUpdate(
           op, g, home, row, std::move(*mask), uid,
           [this, op, g, home, row, prow, uid, reply_to, invalidate_spare,
@@ -444,7 +455,7 @@ struct RaddNodeSystem::Node {
               clobbered = now.status().IsDataLoss();
             } else if (now->uid != uid) {
               // A same-site UID with a higher sequence is a later local
-              // writer (batched mode releases the lock early) — leave it.
+              // writer (the lock is released at staging) — leave it.
               // A foreign UID is drained spare content: stale only in the
               // recovering flow, where it is the value we superseded.
               clobbered = !now->uid.valid() ||
@@ -474,17 +485,7 @@ struct RaddNodeSystem::Node {
             // Retransmission exhausted or parity nacked: release the lock
             // and surface the failure instead of holding the row hostage.
             if (!early_unlock) Unlock(op, prow);
-            if (st.IsStaleEpoch()) {
-              // Retryable and side-effect-free from the client's view —
-              // its restamped retry must run a fresh flow, so don't record
-              // this rejection in the dedupe table.
-              write_flows.erase(op);
-              Send(reply_to, MessageType::kWriteReply,
-                   WriteReply{op, std::move(st)}, 0);
-              return;
-            }
-            CompleteWrite(op, reply_to, MessageType::kWriteReply,
-                          WriteReply{op, std::move(st)});
+            FailWrite(op, reply_to, MessageType::kWriteReply, std::move(st));
           });
       if (early_unlock) Unlock(op, prow);
     });
@@ -510,39 +511,30 @@ struct RaddNodeSystem::Node {
     });
   }
 
-  /// Sends the W3 parity message, retransmitting until acked (§5). Calls
-  /// `done` once acknowledged (or immediately if the parity site is down:
-  /// its recovery will recompute the row). If retransmission is exhausted
-  /// or the parity site nacks (stale epoch), calls `fail` with the cause
-  /// so the write surfaces a retryable failure rather than hanging with
-  /// its lock held.
+  /// Waiter of one staged parity leg: `done` runs once its batch entry is
+  /// acknowledged (or at once if the parity site is down: its recovery will
+  /// recompute the row). If the batch's retransmission is exhausted or the
+  /// parity site refuses the entry (stale epoch, misroute), `fail` gets the
+  /// cause, so the write surfaces a retryable failure rather than hanging
+  /// with its lock held.
   struct ParityWait {
     std::function<void()> done;
     std::function<void(Status)> fail;
-    /// The pending update itself, kept so every (re)transmit can restamp
-    /// the home's *current* membership epoch: a live sender always speaks
-    /// for its current view, so only message copies left over from a dead
-    /// incarnation (whose node state was reset, so nobody restamps them)
-    /// are rejected as stale.
-    ParityUpdate update;
-    SiteId parity_site = 0;
+    int tries = 0;  ///< per-entry retries spent (refusals, restamps)
   };
   std::map<uint64_t, ParityWait> parity_done;
-  std::map<uint64_t, int> parity_tries;
 
   /// Q-leg marker bit for dual-parity ops. Op ids never reach bit 63
   /// (the global counter counts up from 1; sharded ids use site<<40), so
-  /// the P and Q legs of one write occupy distinct slots in every op-keyed
-  /// map while remaining trivially correlated for debugging.
+  /// the P and Q legs of one write occupy distinct slots in the sender's
+  /// op-keyed waiter maps while remaining trivially correlated for
+  /// debugging.
   static constexpr uint64_t kQLegBit = uint64_t{1} << 63;
 
   /// Reissue marker for dual-parity spare-path updates. A write retried
-  /// through the spare after its home crashed can reuse an op whose
-  /// original parity legs already applied; the receiver's op-level dedupe
-  /// would then silently drop the reissue even though it carries the new
-  /// logical UID (and per-leg deltas). Bit 62 keeps the reissue distinct
-  /// in every op-keyed map while the original op's entry still absorbs
-  /// late duplicates of the first attempt.
+  /// through the spare after its home crashed reuses the client's op id;
+  /// bit 62 keeps the reissue's parity waiters and reconstruction flows in
+  /// slots of their own, apart from any an earlier attempt of the op left.
   static constexpr uint64_t kReissueBit = uint64_t{1} << 62;
 
   void SendParityUpdate(uint64_t op, int g, int home, BlockNum row,
@@ -609,229 +601,27 @@ struct RaddNodeSystem::Node {
       done();
       return;
     }
-    if (sys->node_config_.parity_batch.enabled) {
-      // Write-combining path (DESIGN.md §10): stage the mask; same-row
-      // updates XOR-merge in the coalescer and one batched frame carries
-      // the lot. The op's completion still waits for the (batch) ack —
-      // §5's commit condition is unchanged.
-      ParityWait wait;
-      wait.done = std::move(done);
-      wait.fail = std::move(fail);
-      wait.parity_site = parity_site;
-      parity_done[op] = std::move(wait);
-      parity_tries[op] = 0;
-      staging[{g, parity_site}].Add(
-          row, home, std::move(mask), uid,
-          sys->EpochOf(grp(g)->SiteOfMember(home)), op);
-      sys->stats_.Add("node.parity_staged");
-      MaybeFlush(g, parity_site);
-      return;
-    }
-    ParityWait wait;
-    wait.done = std::move(done);
-    wait.fail = std::move(fail);
-    wait.parity_site = parity_site;
-    ParityUpdate& u = wait.update;
-    u.op = op;
-    u.group = g;
-    u.row = row;
-    u.position = home;
-    u.wire_bytes = mask.EncodedSize();
-    u.delta = std::move(mask).TakeDelta();
-    u.uid = uid;
-    parity_done[op] = std::move(wait);
-    parity_tries[op] = 0;
-    TransmitParity(op);
+    // Stage the mask (DESIGN.md §10): same-row updates XOR-merge in the
+    // coalescer and one batched frame carries the lot. The op's completion
+    // still waits for the batch ack — §5's commit condition.
+    parity_done[op] = ParityWait{std::move(done), std::move(fail)};
+    staging[{g, parity_site}].Add(row, home, std::move(mask), uid,
+                                  sys->EpochOf(grp(g)->SiteOfMember(home)),
+                                  op);
+    sys->stats_.Add("node.parity_staged");
+    MaybeFlush(g, parity_site);
   }
 
-  void TransmitParity(uint64_t op) {
-    auto it = parity_done.find(op);
-    if (it == parity_done.end()) return;
-    ParityUpdate& u = it->second.update;
-    u.home_epoch = sys->EpochOf(grp(u.group)->SiteOfMember(u.position));
-    // Re-resolve the parity's member per transmit: an expansion can move a
-    // parity block between retries, and a retransmit to the old host would
-    // bounce (StaleEpoch) forever. Identity under the rotated layout.
-    const bool q_leg = (op & kQLegBit) != 0;
-    const int pm = static_cast<int>(q_leg ? lay(u.group).QParitySite(u.row)
-                                          : lay(u.group).ParitySite(u.row));
-    it->second.parity_site = grp(u.group)->SiteOfMember(pm);
-    Send(it->second.parity_site, MessageType::kParityUpdate, u, u.wire_bytes);
-    uint64_t timer = sim()->Schedule(
-        sys->node_config_.retry_timeout, [this, op]() {
-          auto it = parity_done.find(op);
-          if (it == parity_done.end()) return;  // acked meanwhile
-          if (++parity_tries[op] > sys->node_config_.max_retries) {
-            sys->stats_.Add("node.parity_gave_up");
-            ParityWait wait = std::move(it->second);
-            parity_done.erase(it);
-            parity_tries.erase(op);
-            parity_timers.erase(op);
-            if (wait.fail) {
-              wait.fail(Status::NetworkError("parity update unacked"));
-            }
-            return;
-          }
-          sys->stats_.Add("node.parity_retransmit");
-          TransmitParity(op);
-        });
-    parity_timers[op] = timer;
-  }
-
-  /// Parity ops seen by this node: false = apply in flight, true =
-  /// applied. The paper's UID-array check alone cannot catch a duplicate
-  /// that arrives *after a newer update for the same position* replaced
-  /// the array entry — re-XORing its mask would corrupt the parity block.
-  /// The op-level map closes that window; the UID-array check still covers
-  /// duplicates that outlive a node restart (which clears this map).
-  std::map<uint64_t, bool> parity_ops;
-
-  void OnParityUpdate(Message& msg) {
-    ParityUpdate u = std::move(std::get<ParityUpdate>(msg.payload));
-    const SiteId from = msg.from;
-    auto seen = parity_ops.find(u.op);
-    if (seen != parity_ops.end()) {
-      sys->stats_.Add("node.parity_duplicate");
-      // In flight: stay silent, the original's ack (or the sender's
-      // retransmit) resolves it. Applied: re-ack, the first ack was lost.
-      if (seen->second) Send(from, MessageType::kParityAck, ParityAck{u.op}, 0);
-      return;
-    }
-    {
-      const BlockRole role = RoleHere(u.group, u.row);
-      if (role != BlockRole::kParity && role != BlockRole::kParityQ) {
-        // The row's parity block moved (expansion) after the sender
-        // resolved its site. Nack so the sender re-resolves and
-        // retransmits to the current host.
-        Send(from, MessageType::kParityNack,
-             ParityNack{u.op,
-                        Misroute("parity update reached a non-parity "
-                                 "member")},
-             0);
-        sys->arena_.Return(std::move(u.delta));
-        return;
-      }
-    }
-    // Idempotence across restarts: a duplicate carries the UID we already
-    // recorded in the array (paper §3.3 machinery).
-    Result<BlockRecord> rec = store()->Peek(phys(u.group, u.row));
-    if (rec.ok() &&
-        static_cast<size_t>(u.position) < rec->uid_array.size() &&
-        rec->uid_array[static_cast<size_t>(u.position)] == u.uid) {
-      Send(from, MessageType::kParityAck, ParityAck{u.op}, 0);
-      sys->stats_.Add("node.parity_duplicate");
-      return;
-    }
-    if (!sys->CheckMemberEpoch(u.group, u.position, u.home_epoch).ok()) {
-      // A delayed update whose delta was computed against a membership
-      // view the home site has since cycled out of. The UID-array check
-      // above cannot catch every such straggler (recovery may have rebuilt
-      // the array without this update's UID); re-XORing its mask now would
-      // corrupt the parity block. Nack so the sender stops retransmitting
-      // and surfaces a retryable failure instead of timing out.
-      sys->stats_.Add("node.stale_epoch_rejected");
-      Send(from, MessageType::kParityNack,
-           ParityNack{u.op, Status::StaleEpoch("parity epoch")}, 0);
-      sys->arena_.Return(std::move(u.delta));
-      return;
-    }
-    parity_ops[u.op] = false;
-    const BlockNum paddr = phys(u.group, u.row);
-    ScheduleDisk(IoClass::kWriteback, IoKind::kWrite, paddr, 1,
-                 [this, u = std::move(u), from]() mutable {
-      // Re-run the §3.3 idempotence check at apply time: a recovery
-      // rebuild of this parity row can land inside the disk-latency
-      // window (disk failure at this site wipes the row, the sweep
-      // recomputes it from the members' local copies — which already
-      // contain this update's delta). The receive-time check cannot see
-      // that, and XORing the delta into the rebuilt sum would count it
-      // twice, corrupting the parity while its UID array stays
-      // plausible.
-      Result<BlockRecord> cur = store()->Peek(phys(u.group, u.row));
-      if (cur.ok() &&
-          static_cast<size_t>(u.position) < cur->uid_array.size() &&
-          cur->uid_array[static_cast<size_t>(u.position)] == u.uid) {
-        sys->stats_.Add("node.parity_apply_superseded");
-        sys->arena_.Return(std::move(u.delta));
-        parity_ops[u.op] = true;
-        Send(from, MessageType::kParityAck, ParityAck{u.op}, 0);
-        return;
-      }
-      // ApplyMask XORs the delta straight into the parity buffer; the
-      // delta block is spent afterwards, so its buffer goes back to the
-      // arena. The wire carries the raw data delta for both parity roles;
-      // a Q site folds in its Reed-Solomon coefficient here (Q' = Q ^
-      // g^position * delta), so P and Q legs share one encoding.
-      if (IsQParityRowHere(u.group, u.row)) {
-        GfScaleInPlace(&u.delta, GfQCoeff(u.position));
-      }
-      ChangeMask mask = ChangeMask::FromFull(std::move(u.delta));
-      Status st = store()->ApplyMask(
-          phys(u.group, u.row), mask, u.uid, static_cast<size_t>(u.position),
-          static_cast<size_t>(grp(u.group)->num_members()));
-      cache.Invalidate(phys(u.group, u.row));
-      sys->arena_.Return(std::move(mask).TakeDelta());
-      if (!st.ok()) {
-        sys->stats_.Add("node.parity_apply_failed");
-        // Lost parity block; recovery will recompute — no ack, and the
-        // op is forgotten so a retransmit can retry the apply.
-        parity_ops.erase(u.op);
-        return;
-      }
-      parity_ops[u.op] = true;
-      Send(from, MessageType::kParityAck, ParityAck{u.op}, 0);
-    });
-  }
-
-  void OnParityAck(const Message& msg) {
-    auto ack = std::get<ParityAck>(msg.payload);
-    auto it = parity_done.find(ack.op);
-    if (it == parity_done.end()) return;  // duplicate ack
-    auto done = std::move(it->second.done);
-    parity_done.erase(it);
-    parity_tries.erase(ack.op);
-    auto timer = parity_timers.find(ack.op);
-    if (timer != parity_timers.end()) {
-      sim()->Cancel(timer->second);
-      parity_timers.erase(timer);
-    }
-    done();
-  }
-
-  void OnParityNack(const Message& msg) {
-    auto nack = std::get<ParityNack>(msg.payload);
-    auto it = parity_done.find(nack.op);
-    if (it == parity_done.end()) return;  // already resolved
-    auto timer = parity_timers.find(nack.op);
-    if (timer != parity_timers.end()) {
-      sim()->Cancel(timer->second);
-      parity_timers.erase(timer);
-    }
-    if (++parity_tries[nack.op] > sys->node_config_.max_retries) {
-      ParityWait wait = std::move(it->second);
-      parity_done.erase(it);
-      parity_tries.erase(nack.op);
-      if (wait.fail) wait.fail(nack.status);
-      return;
-    }
-    // We are alive, so the stale stamp just means the home transitioned
-    // while this update was in flight (e.g. its sweep finished and it was
-    // marked up). Re-read the membership and retransmit immediately — the
-    // fresh stamp makes the same delta acceptable. Only delayed copies
-    // from dead incarnations, which nobody restamps, stay rejected.
-    sys->stats_.Add("node.parity_nack_retry");
-    TransmitParity(nack.op);
-  }
-
-  // --- batched parity pipeline (DESIGN.md §10) ----------------------------
+  // --- parity pipeline (DESIGN.md §10) ------------------------------------
   //
-  // Sender side: SendParityUpdate stages masks into a per-parity-site
-  // ParityCoalescer instead of sending them; FlushParity drains the
-  // eligible entries into one ParityBatchFrame when an op-count / byte /
-  // delay threshold trips. At most one in-flight update per (row,
-  // position) key: entries whose key rides an unacked batch stay staged
-  // (blocked) and flush when that batch resolves, so reordered frames can
-  // never leave the parity UID array pointing at a stale merge.
+  // Sender side: SendParityLeg stages masks into a per-parity-site
+  // ParityCoalescer; FlushParity drains the eligible entries into one
+  // ParityBatchFrame when an op-count / byte / delay threshold trips (with
+  // batching off, a threshold of one op and no delay: every update flushes
+  // on its own). At most one in-flight update per (row, position) key:
+  // entries whose key rides an unacked batch stay staged (blocked) and
+  // flush when that batch resolves, so reordered frames can never leave
+  // the parity UID array pointing at a stale merge.
 
   /// Wire cost of one batch entry's framing (row, position, epoch, UID) —
   /// cheaper than a full kWireHeader because the entries share the
@@ -864,7 +654,6 @@ struct RaddNodeSystem::Node {
 
   /// Completes one staged/batched parity waiter (ack fanout).
   void ResolveParityOp(uint64_t op, Status st) {
-    parity_tries.erase(op);
     auto it = parity_done.find(op);
     if (it == parity_done.end()) return;
     ParityWait wait = std::move(it->second);
@@ -938,7 +727,8 @@ struct RaddNodeSystem::Node {
       // membership view the delta was diffed under. If the home's epoch
       // has moved since (say its disk failed and recovery rebuilt the row
       // from parity), applying this delta would corrupt the rebuilt
-      // parity; the receiver must see the stale stamp and refuse.
+      // parity; the receiver must see the stale stamp and refuse, and
+      // OnParityBatchAck decides whether the change is still owed.
       w.home_epoch = e.home_epoch;
       w.uid = e.uid;
       w.wire_bytes = e.encoded_bytes;
@@ -981,6 +771,58 @@ struct RaddNodeSystem::Node {
         });
   }
 
+  /// Checks one batch entry against this parity member, at receipt and
+  /// again at apply time (the frame can sit in the disk queue meanwhile).
+  /// Sets `*apply` when the delta must be XORed in; an OK status with
+  /// `*apply` clear means the parity already holds the change.
+  Status CheckBatchEntry(int g, SiteId from, const ParityBatchEntry& e,
+                         const char* dup_stat, bool* apply) {
+    *apply = false;
+    const BlockRole role = RoleHere(g, e.row);
+    if (role != BlockRole::kParity && role != BlockRole::kParityQ) {
+      // This row's parity moved off this member (expansion); per-entry
+      // refusal, the rest of the frame still lands.
+      return Misroute("batched parity entry reached a non-parity member");
+    }
+    // §3.3 UID-array backstop: catches duplicates that outlive a node
+    // restart (which clears the seq table) or its eviction bound, and a
+    // rebuild of the row from the members' copies (which already contain
+    // this delta) that landed while the entry was in flight.
+    Result<BlockRecord> rec = store()->Peek(phys(g, e.row));
+    const size_t pos = static_cast<size_t>(e.position);
+    const bool listed = rec.ok() && pos < rec->uid_array.size();
+    const Uid cur = listed ? rec->uid_array[pos] : Uid();
+    if (listed && cur == e.uid) {
+      sys->stats_.Add(dup_stat);
+      return Status::OK();
+    }
+    if (!sys->CheckMemberEpoch(g, e.position, e.home_epoch).ok()) {
+      // A delayed entry whose delta was computed against a membership
+      // view the home site has since cycled out of. The UID-array check
+      // above cannot catch every such straggler (recovery may have
+      // rebuilt the array without this update's UID); re-XORing its mask
+      // would corrupt the parity block.
+      sys->stats_.Add("node.stale_epoch_rejected");
+      return Status::StaleEpoch("parity epoch");
+    }
+    // The array names a later write by the home itself. The home mints a
+    // block's UIDs in commit order under its row lock, and releases the
+    // lock once an entry is staged, so that write diffed against content
+    // already holding this change; only a rebuild from data (a scrub, a
+    // parity recovery) records it while this entry is in flight, and the
+    // rebuilt parity holds the change too. Spare-path UIDs are minted by
+    // the client and can commit out of order, so only the home's own
+    // entries are judged this way.
+    if (listed && from == grp(g)->SiteOfMember(e.position) &&
+        e.uid.site() == from && cur.valid() && cur.site() == from &&
+        cur.sequence() > e.uid.sequence()) {
+      sys->stats_.Add("node.parity_superseded");
+      return Status::OK();
+    }
+    *apply = true;
+    return Status::OK();
+  }
+
   void OnParityBatch(Message& msg) {
     ParityBatchFrame frame =
         std::move(std::get<ParityBatchFrame>(msg.payload));
@@ -1007,37 +849,14 @@ struct RaddNodeSystem::Node {
     std::vector<size_t> to_apply;
     for (size_t i = 0; i < frame.entries.size(); ++i) {
       ParityBatchEntry& e = frame.entries[i];
-      {
-        const BlockRole role = RoleHere(frame.group, e.row);
-        if (role != BlockRole::kParity && role != BlockRole::kParityQ) {
-          // This row's parity moved off this member (expansion); per-entry
-          // refusal, the rest of the frame still lands.
-          ack.entry_status[i] =
-              Misroute("batched parity entry reached a non-parity member");
-          sys->arena_.Return(std::move(e.delta));
-          continue;
-        }
-      }
-      // §3.3 UID-array backstop: catches duplicates that outlive a node
-      // restart (which clears the seq table) or its eviction bound.
-      Result<BlockRecord> rec = store()->Peek(phys(frame.group, e.row));
-      if (rec.ok() &&
-          static_cast<size_t>(e.position) < rec->uid_array.size() &&
-          rec->uid_array[static_cast<size_t>(e.position)] == e.uid) {
-        sys->stats_.Add("node.parity_duplicate");
+      bool apply = false;
+      ack.entry_status[i] = CheckBatchEntry(frame.group, from, e,
+                                            "node.parity_duplicate", &apply);
+      if (apply) {
+        to_apply.push_back(i);
+      } else {
         sys->arena_.Return(std::move(e.delta));
-        continue;  // already applied; entry status stays OK
       }
-      if (!sys->CheckMemberEpoch(frame.group, e.position, e.home_epoch)
-               .ok()) {
-        // Same straggler hazard as the unbatched path; rejected per entry
-        // so the rest of the frame still lands.
-        sys->stats_.Add("node.stale_epoch_rejected");
-        ack.entry_status[i] = Status::StaleEpoch("parity epoch");
-        sys->arena_.Return(std::move(e.delta));
-        continue;
-      }
-      to_apply.push_back(i);
     }
     if (to_apply.empty()) {
       FinishBatchApply(from, std::move(frame), std::move(ack), {});
@@ -1063,44 +882,22 @@ struct RaddNodeSystem::Node {
                         const std::vector<size_t>& to_apply) {
     for (size_t i : to_apply) {
       ParityBatchEntry& e = frame.entries[i];
-      {
-        const BlockRole role = RoleHere(frame.group, e.row);
-        if (role != BlockRole::kParity && role != BlockRole::kParityQ) {
-          // The parity moved while the frame sat in the disk queue.
-          ack.entry_status[i] =
-              Misroute("batched parity entry reached a non-parity member");
-          sys->arena_.Return(std::move(e.delta));
-          continue;
-        }
-      }
-      // Re-checked at apply time, not just at receipt: the home's epoch
-      // can move while this frame sits in the disk queue, and a recovery
-      // sweep may reconstruct the row from the pre-delta parity in that
-      // window. Applying the delta afterwards would corrupt the rebuilt
-      // state.
-      Result<BlockRecord> cur = store()->Peek(phys(frame.group, e.row));
-      if (cur.ok() &&
-          static_cast<size_t>(e.position) < cur->uid_array.size() &&
-          cur->uid_array[static_cast<size_t>(e.position)] == e.uid) {
-        // A rebuild of this row landed in the disk window and gathered
-        // the home's local copy, which already contains this delta —
-        // XORing it again would double-count it (see OnParityUpdate).
-        sys->stats_.Add("node.parity_apply_superseded");
+      // Re-checked at apply time, not just at receipt: the parity can move,
+      // the home's epoch can change, and a recovery sweep can rebuild the
+      // row while this frame sits in the disk queue.
+      bool apply = false;
+      ack.entry_status[i] = CheckBatchEntry(
+          frame.group, from, e, "node.parity_apply_superseded", &apply);
+      if (!apply) {
         sys->arena_.Return(std::move(e.delta));
         continue;
       }
-      if (!sys->CheckMemberEpoch(frame.group, e.position, e.home_epoch)
-               .ok()) {
-        sys->stats_.Add("node.stale_epoch_rejected");
-        ack.entry_status[i] = Status::StaleEpoch("parity epoch");
-        sys->arena_.Return(std::move(e.delta));
-        continue;
-      }
-      // Same raw-delta convention as the unbatched path: a Q site scales
-      // the (possibly coalesced) delta by its coefficient before the XOR.
-      // Coalesced entries merge deltas for one (row, position) key, which
-      // all share the same coefficient, so scaling after the merge equals
-      // merging scaled deltas.
+      // The wire carries the raw data delta for both parity roles; a Q
+      // site scales the (possibly coalesced) delta by its Reed-Solomon
+      // coefficient before the XOR (Q' = Q ^ g^position * delta), so P and
+      // Q legs share one encoding. Coalesced entries merge deltas for one
+      // (row, position) key, which all share the same coefficient, so
+      // scaling after the merge equals merging scaled deltas.
       if (IsQParityRowHere(frame.group, e.row)) {
         GfScaleInPlace(&e.delta, GfQCoeff(e.position));
       }
@@ -1136,6 +933,17 @@ struct RaddNodeSystem::Node {
     }
   }
 
+  /// True while this site's copy of the entry's block still carries the
+  /// entry's change: it holds the entry's UID, or a later UID this site
+  /// minted for a write that chained on it.
+  bool HoldsChange(int g, const ParityCoalescer::Entry& e) {
+    Result<BlockRecord> rec = store()->Peek(phys(g, e.row));
+    if (!rec.ok() || !rec->uid.valid()) return false;
+    return rec->uid == e.uid ||
+           (rec->uid.site() == self && e.uid.site() == self &&
+            rec->uid.sequence() > e.uid.sequence());
+  }
+
   void OnParityBatchAck(Message& msg) {
     const ParityBatchAck& ack = std::get<ParityBatchAck>(msg.payload);
     auto it = batches.find(ack.batch_seq);
@@ -1154,21 +962,30 @@ struct RaddNodeSystem::Node {
         continue;
       }
       if (st.IsStaleEpoch()) {
-        // The delta was diffed under a membership view the home has since
-        // left; retransmitting it can never succeed (the stamp only gets
-        // staler). Fail the waiters now — the write layer re-runs the
-        // whole write against current state, recomputing the delta.
-        for (uint64_t op : e.ops) ResolveParityOp(op, st);
-        continue;
+        if (!HoldsChange(batch.group, e)) {
+          // The home's epoch moved and this site's copy no longer holds
+          // the change (a recovery drained the spare over it or rebuilt
+          // it from parity). Fail the waiters: the write layer re-runs
+          // the write against the current copy, recomputing the delta.
+          for (uint64_t op : e.ops) ResolveParityOp(op, st);
+          continue;
+        }
+        // The home's epoch moved (say it was marked up again) while the
+        // copy still holds the change and the parity does not. Failing
+        // here would leave the parity behind for good: the retry would
+        // diff against the updated copy. Restamp and resend instead.
+        e.home_epoch =
+            sys->EpochOf(grp(batch.group)->SiteOfMember(e.position));
+        sys->stats_.Add("node.parity_restamped");
       }
-      // Per-entry refusal (lost parity block): spend one retry per
-      // waiter, fail the exhausted ones, re-stage the entry for the
-      // survivors.
+      // Per-entry refusal (lost parity block, or a restamped entry):
+      // spend one retry per waiter, fail the exhausted ones, re-stage the
+      // entry for the survivors.
       std::vector<uint64_t> live;
       for (uint64_t op : e.ops) {
-        auto tries = parity_tries.find(op);
-        if (tries == parity_tries.end()) continue;
-        if (++tries->second > sys->node_config_.max_retries) {
+        auto wait = parity_done.find(op);
+        if (wait == parity_done.end()) continue;
+        if (++wait->second.tries > sys->node_config_.max_retries) {
           ResolveParityOp(op, st);
         } else {
           live.push_back(op);
@@ -1332,11 +1149,13 @@ struct RaddNodeSystem::Node {
     ScheduleDisk(IoClass::kForeground, IoKind::kWrite, addr, 1,
                  [this, req = std::move(req), reply_to,
                   old_value = std::move(old_value)]() mutable {
-      if (sys->Perceived(self, grp(req.group)->SiteOfMember(req.home)) ==
+      if (sys->Declared(self, grp(req.group)->SiteOfMember(req.home)) ==
           SiteState::kUp) {
         // The home recovered while this flow was queued (slow disk, long
-        // reconstruction): committing now would shadow an up member. Stay
-        // silent — the client's retry re-evaluates and targets the home.
+        // reconstruction), or it was only ever suspected, never declared
+        // down: committing now would shadow an up member that no recovery
+        // sweep will drain. Stay silent — the client's retry re-evaluates
+        // and targets the home.
         sys->stats_.Add("node.spare_write_stale");
         Unlock(req.op, phys(req.group, req.row));
         write_flows.erase(req.op);
@@ -1371,14 +1190,8 @@ struct RaddNodeSystem::Node {
                        },
                        [this, op, prow, reply_to](Status st) {
                          Unlock(op, prow);
-                         if (st.IsStaleEpoch()) {
-                           write_flows.erase(op);
-                           Send(reply_to, MessageType::kSpareWriteReply,
-                                WriteReply{op, std::move(st)}, 0);
-                           return;
-                         }
-                         CompleteWrite(op, reply_to, MessageType::kSpareWriteReply,
-                                       WriteReply{op, std::move(st)});
+                         FailWrite(op, reply_to, MessageType::kSpareWriteReply,
+                                   std::move(st));
                        });
     });
   }
@@ -1476,10 +1289,10 @@ struct RaddNodeSystem::Node {
       SpareWriteReq& req = st->req;
       const uint64_t op = req.op;
       const BlockNum prow = phys(req.group, req.row);
-      if (sys->Perceived(self, grp(req.group)->SiteOfMember(req.home)) ==
+      if (sys->Declared(self, grp(req.group)->SiteOfMember(req.home)) ==
           SiteState::kUp) {
-        // The home recovered while this flow was queued — committing now
-        // would shadow an up member (see CommitSpareWrite).
+        // The home is up, or only suspected — committing now would shadow
+        // an up member (see CommitSpareWrite).
         sys->stats_.Add("node.spare_write_stale");
         Unlock(op, prow);
         write_flows.erase(op);
@@ -1517,14 +1330,8 @@ struct RaddNodeSystem::Node {
           },
           [this, op, prow, reply_to](Status lst) {
             Unlock(op, prow);
-            if (lst.IsStaleEpoch()) {
-              write_flows.erase(op);
-              Send(reply_to, MessageType::kSpareWriteReply,
-                   WriteReply{op, std::move(lst)}, 0);
-              return;
-            }
-            CompleteWrite(op, reply_to, MessageType::kSpareWriteReply,
-                          WriteReply{op, std::move(lst)});
+            FailWrite(op, reply_to, MessageType::kSpareWriteReply,
+                      std::move(lst));
           });
     });
   }
@@ -1546,11 +1353,12 @@ struct RaddNodeSystem::Node {
     const BlockNum wb_addr = phys(wb.group, wb.row);
     ScheduleDisk(IoClass::kRecovery, IoKind::kWrite, wb_addr, 1,
                  [this, wb = std::move(wb)]() mutable {
-      // Materialization is only valid while the home is down. This message
-      // is fire-and-forget, so a delayed copy can arrive after the home
-      // restarted and recovery drained the spares; writing it now would
-      // leave a valid spare shadowing an up member.
-      if (sys->Perceived(self, grp(wb.group)->SiteOfMember(wb.home)) !=
+      // Materialization is only valid while the home is declared down.
+      // This message is fire-and-forget, so a delayed copy can arrive after
+      // the home restarted and recovery drained the spares, and a reader
+      // that merely suspects the home never triggers its recovery; writing
+      // it then would leave a valid spare shadowing an up member.
+      if (sys->Declared(self, grp(wb.group)->SiteOfMember(wb.home)) !=
           SiteState::kDown) {
         sys->stats_.Add("node.writeback_stale");
         sys->arena_.Return(std::move(wb.data));
@@ -2054,6 +1862,12 @@ RaddNodeSystem::RaddNodeSystem(Simulator* sim, Network* net,
       cluster_(cluster),
       node_config_(node_config),
       arena_(specs.front().config.block_size) {
+  // Batching off is the coalescer with a threshold of one op and no
+  // group-commit delay: every parity update flushes in a frame of its own.
+  if (!node_config_.parity_batch.enabled) {
+    node_config_.parity_batch.max_ops = 1;
+    node_config_.parity_batch.max_delay = 0;
+  }
   for (GroupSpec& spec : specs) {
     // The arena recycles one buffer size across all groups; a volume with
     // mixed block sizes would hand wrong-sized leases to the smaller ones.
@@ -2157,17 +1971,20 @@ RaddNodeSystem::CacheCounters RaddNodeSystem::CacheStats() const {
 RaddNodeSystem::~RaddNodeSystem() = default;
 
 SiteState RaddNodeSystem::Perceived(SiteId observer, SiteId target) const {
+  // A detector can only distinguish reachable/unreachable; "reachable" is
+  // refined with the declared state so recovering sites are handled by the
+  // recovering protocol (a real system learns that state during the
+  // reconnect handshake).
+  if (perceiver_ && !presumed_.count({observer, target}) &&
+      perceiver_(observer, target) == SiteState::kDown) {
+    return SiteState::kDown;
+  }
+  return Declared(observer, target);
+}
+
+SiteState RaddNodeSystem::Declared(SiteId observer, SiteId target) const {
   auto it = presumed_.find({observer, target});
   if (it != presumed_.end()) return it->second;
-  if (perceiver_) {
-    // A detector can only distinguish reachable/unreachable; refine
-    // "reachable" with the true state so recovering sites are handled by
-    // the recovering protocol (a real system learns that state during the
-    // reconnect handshake).
-    SiteState detected = perceiver_(observer, target);
-    if (detected == SiteState::kDown) return detected;
-    return cluster_->StateOf(target);
-  }
   return cluster_->StateOf(target);
 }
 
@@ -2208,11 +2025,7 @@ void RaddNodeSystem::ResetNodeVolatileState(SiteId site) {
   auto nit = nodes_.find(site);
   if (nit == nodes_.end()) return;
   Node* n = nit->second.get();
-  for (auto& [op, timer] : n->parity_timers) sim_->Cancel(timer);
-  n->parity_timers.clear();
   n->parity_done.clear();
-  n->parity_tries.clear();
-  n->parity_ops.clear();
   for (auto& [ps, timer] : n->flush_timers) sim_->Cancel(timer);
   n->flush_timers.clear();
   for (auto& [seq, batch] : n->batches) sim_->Cancel(batch.timer);
@@ -2346,15 +2159,6 @@ void RaddNodeSystem::Dispatch(SiteId site, Message& msg) {
       FinishWrite(site, rep.op, rep.status);
       break;
     }
-    case MessageType::kParityUpdate:
-      n->OnParityUpdate(msg);
-      break;
-    case MessageType::kParityAck:
-      n->OnParityAck(msg);
-      break;
-    case MessageType::kParityNack:
-      n->OnParityNack(msg);
-      break;
     case MessageType::kParityBatch:
       n->OnParityBatch(msg);
       break;

@@ -12,10 +12,11 @@
 // condition), behaviour under partitions, and lock-based concurrency
 // control (§3.3: data and spare blocks are locked, parity blocks never).
 //
-// Idempotence under retransmission uses the paper's own UID machinery: a
-// parity site recognizes a duplicate update because the incoming UID
-// equals its UID-array entry for that member, and acknowledges without
-// re-applying the mask.
+// Idempotence under retransmission: a parity site remembers the batch
+// sequence numbers it processed per sender and replays the recorded ack
+// for a duplicate frame. The paper's own UID machinery backstops it: an
+// entry whose UID equals the parity's UID-array entry for that member is
+// acknowledged without re-applying the mask.
 
 #ifndef RADD_CORE_NODE_H_
 #define RADD_CORE_NODE_H_
@@ -54,9 +55,9 @@ struct NodeConfig {
   int max_retries = 25;
   /// Reconstruction retries on UID validation failure (§3.3).
   int max_reconstruct_attempts = 5;
-  /// Write-combining parity pipeline (DESIGN.md §10). Off by default:
-  /// the unbatched path is then taken verbatim, bit-identical to the
-  /// pre-batching protocol.
+  /// Write-combining parity pipeline (DESIGN.md §10). Every parity update
+  /// goes through it; with `enabled = false` (the default) each update
+  /// flushes in a frame of its own.
   ParityBatchConfig parity_batch;
 };
 
@@ -220,6 +221,12 @@ class RaddNodeSystem {
 
   /// State that `observer` believes `target` to be in.
   SiteState Perceived(SiteId observer, SiteId target) const;
+  /// State the membership holds for `target` in `observer`'s view: an
+  /// explicit SetPresumedState entry, else the cluster state. Unlike
+  /// Perceived, a detector's suspicion alone does not count: a site that is
+  /// only suspected down is never swept, so nothing would drain a spare
+  /// written on its behalf. Spare writes and materializations go by this.
+  SiteState Declared(SiteId observer, SiteId target) const;
 
   /// Member currently *hosting* owner `home`'s data block `index` in
   /// group `grp` — identical to `home` except for blocks migrated by an

@@ -34,9 +34,10 @@
 
 namespace radd {
 
-/// Tunables of the batched parity pipeline. Off by default: with
-/// `enabled = false` the protocol layer sends one parity_update per write,
-/// bit-identical to the unbatched implementation.
+/// Tunables of the parity pipeline. Off by default: with `enabled = false`
+/// the protocol layer ignores the thresholds below and flushes each update
+/// on its own (max_ops = 1, max_delay = 0), so a blocked key is the only
+/// way two updates share an entry.
 struct ParityBatchConfig {
   bool enabled = false;
   /// Flush when the staged entries cover this many client ops.
@@ -57,12 +58,13 @@ class ParityCoalescer {
     int position = 0;
     Block delta{0};           ///< XOR-merge of every staged mask
     Uid uid;                  ///< newest contributing UID (latest wins)
-    /// Home epoch captured when the (first) delta was computed — NOT
+    /// Home epoch captured when the (first) delta was computed — not
     /// restamped on retransmit. A delta diffed against a pre-transition
     /// disk state is invalid once the home's epoch moves (recovery may
-    /// rebuild the row from parity in between); the receiver must reject
-    /// it so the write retries against fresh state. A merge keeps the
-    /// OLDEST stamp: one stale contributor poisons the whole merge.
+    /// rebuild the row from parity in between); the receiver rejects it,
+    /// and the sender restamps it only if its own copy still carries the
+    /// change. A merge keeps the OLDEST stamp: one stale contributor
+    /// poisons the whole merge.
     uint64_t home_epoch = 0;
     size_t encoded_bytes = 0; ///< wire cost of the merged mask
     std::vector<uint64_t> ops;  ///< client ops awaiting this entry's ack

@@ -1080,6 +1080,24 @@ Status RaddGroup::RecoverRow(int home, BlockNum row, OpCounts* counts) {
       break;
     }
   }
+  if (role == BlockRole::kData && map_->dual_parity()) {
+    return ReconcileParityLegs(home, row, counts);
+  }
+  return Status::OK();
+}
+
+Status RaddGroup::ReconcileParityLegs(int home, BlockNum row,
+                                      OpCounts* counts) {
+  if (!ParityLegsTorn(home, row)) return Status::OK();
+  Result<BlockRecord> lrec = SiteOf(home)->store()->Peek(Phys(home, row));
+  if (!lrec.ok()) return lrec.status();
+  for (const bool q_role : {false, true}) {
+    const int pm = static_cast<int>(q_role ? map_->QParitySite(row)
+                                           : map_->ParitySite(row));
+    if (ParityEntry(pm, home, row) == lrec->uid) continue;
+    stats_.Add("radd.recovery_torn_leg_rebuilt");
+    RADD_RETURN_NOT_OK(RebuildParityRow(pm, row, counts, q_role));
+  }
   return Status::OK();
 }
 
@@ -1184,25 +1202,38 @@ bool RaddGroup::ParityEntrySupersedes(int home, BlockNum row,
   return false;
 }
 
+std::optional<Uid> RaddGroup::ParityEntry(int pm, int home,
+                                          BlockNum row) const {
+  if (StateOfMember(pm) != SiteState::kUp) return std::nullopt;
+  Result<BlockRecord> prec = SiteOf(pm)->store()->Peek(Phys(pm, row));
+  if (!prec.ok()) return std::nullopt;
+  const size_t pos = static_cast<size_t>(home);
+  return pos < prec->uid_array.size() ? prec->uid_array[pos] : Uid();
+}
+
+bool RaddGroup::ParityLegsTorn(int home, BlockNum row) const {
+  if (!map_->dual_parity()) return false;
+  const std::optional<Uid> p =
+      ParityEntry(static_cast<int>(map_->ParitySite(row)), home, row);
+  const std::optional<Uid> q =
+      ParityEntry(static_cast<int>(map_->QParitySite(row)), home, row);
+  return p && q && *p != *q;
+}
+
 bool RaddGroup::ParityMemberSupersedes(int pm, int home, BlockNum row,
                                        Uid local) const {
   // §3.3: the parity block's UID array is the authority on which writes a
   // row has accepted. A data copy whose UID disagrees with (and does not
   // postdate) the array entry missed an update — e.g. it was rebuilt from
   // the parity before an in-flight delta for the same row landed.
-  if (StateOfMember(pm) != SiteState::kUp) return false;  // no authority
-  Result<BlockRecord> prec = SiteOf(pm)->store()->Peek(Phys(pm, row));
-  if (!prec.ok()) return false;
-  const size_t pos = static_cast<size_t>(home);
-  const Uid entry =
-      pos < prec->uid_array.size() ? prec->uid_array[pos] : Uid();
-  if (!entry.valid() || entry == local) return false;
+  const std::optional<Uid> entry = ParityEntry(pm, home, row);
+  if (!entry || !entry->valid() || *entry == local) return false;
   if (!local.valid()) return true;
-  if (entry.site() == local.site()) {
+  if (entry->site() == local.site()) {
     // Same generator: sequences order the writes. A local copy newer than
     // the entry saw an update the parity missed while down — keep it; the
     // parity's own recovery rebuilds its row from the data.
-    return entry.sequence() > local.sequence();
+    return entry->sequence() > local.sequence();
   }
   // Cross-site disagreement: the parity accepted a write (e.g. a degraded
   // write through the spare) this copy never held.
@@ -1237,7 +1268,8 @@ Result<BlockNum> RaddGroup::FirstUnrecoveredRow(int home,
     if (!lrec.ok() && lrec.status().IsDataLoss()) return row;
     if (lrec.ok() &&
         map_->RoleOf(static_cast<SiteId>(home), row) == BlockRole::kData &&
-        ParityEntrySupersedes(home, row, lrec->uid)) {
+        (ParityEntrySupersedes(home, row, lrec->uid) ||
+         ParityLegsTorn(home, row))) {
       return row;
     }
   }

@@ -266,6 +266,19 @@ class RaddGroup {
   /// The per-parity-member half of ParityEntrySupersedes.
   bool ParityMemberSupersedes(int pm, int home, BlockNum row,
                               Uid local) const;
+  /// Parity member `pm`'s UID-array entry for `home` in `row`; nullopt
+  /// when the parity has no authority (site not up, block unreadable).
+  std::optional<Uid> ParityEntry(int pm, int home, BlockNum row) const;
+  /// Dual parity: true when P and Q both have authority and their arrays
+  /// name different writes for `home` — a torn pair. A write whose legs
+  /// split (one parity applied its delta, the other refused it as stale
+  /// after the home's epoch moved) fails, and its retry diffs against the
+  /// recovered copy, so the lagging parity would never see the missed
+  /// delta while its array named the retry's UID.
+  bool ParityLegsTorn(int home, BlockNum row) const;
+  /// Rebuilds, from the data as it now stands, each parity of a torn pair
+  /// whose entry for `home` does not name `home`'s recovered copy.
+  Status ReconcileParityLegs(int home, BlockNum row, OpCounts* counts);
 
   /// §7.2 spare thinning: whether `row` has a spare block at all.
   bool SpareExists(BlockNum row) const;

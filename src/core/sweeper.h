@@ -91,14 +91,11 @@ class RecoverySweeper {
   /// (on_done runs immediately) when no expansion is pending.
   void StartMigration(int grp, std::function<void()> on_done = nullptr);
 
-  /// Progress cursor of `member`'s sweep in group 0 (rows [0, cursor)
+  /// Progress cursor of group `grp`'s `member` sweep (rows [0, cursor)
   /// repaired this pass). Retained across crash-mid-sweep for resume.
-  BlockNum cursor(int member) const { return cursor(0, member); }
-  /// Cursor of group `grp`'s `member`.
   BlockNum cursor(int grp, int member) const;
 
-  /// True while a sweep for group 0's `member` has ticks scheduled.
-  bool active(int member) const { return active(0, member); }
+  /// True while a sweep for group `grp`'s `member` has ticks scheduled.
   bool active(int grp, int member) const;
 
   /// Counters: "sweeper.ticks", "sweeper.rows_swept", "sweeper.resumes",

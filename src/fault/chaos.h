@@ -121,9 +121,8 @@ struct ChaosReport {
   uint64_t reads_validated = 0;
   SimTime end_time = 0;
 
-  /// Batched-parity-mode metrics (all zero when batching is off; the
-  /// Summary of an unbatched run is byte-identical to the pre-batching
-  /// harness).
+  /// Batched-parity-mode metrics (reported only when batching is on, so
+  /// the Summary of a run with batching off omits them).
   bool batched = false;
   uint64_t batches_sent = 0;        ///< parity batch frames transmitted
   uint64_t batch_retransmits = 0;   ///< frames resent after ack timeout

@@ -311,43 +311,6 @@ SpareWriteBack DecSpareWriteBack(Reader& r) {
   return v;
 }
 
-void Enc(Writer& w, const ParityUpdate& v) {
-  w.U64(v.op);
-  w.I32(v.group);
-  w.U64(v.row);
-  w.I32(v.position);
-  w.U64(v.home_epoch);
-  w.Blk(v.delta);
-  w.UidV(v.uid);
-  w.U64(v.wire_bytes);
-}
-ParityUpdate DecParityUpdate(Reader& r) {
-  ParityUpdate v;
-  v.op = r.U64();
-  v.group = r.I32();
-  v.row = r.U64();
-  v.position = r.I32();
-  v.home_epoch = r.U64();
-  v.delta = r.Blk();
-  v.uid = r.UidV();
-  v.wire_bytes = r.U64();
-  return v;
-}
-
-void Enc(Writer& w, const ParityAck& v) { w.U64(v.op); }
-ParityAck DecParityAck(Reader& r) { return ParityAck{r.U64()}; }
-
-void Enc(Writer& w, const ParityNack& v) {
-  w.U64(v.op);
-  w.Stat(v.status);
-}
-ParityNack DecParityNack(Reader& r) {
-  ParityNack v;
-  v.op = r.U64();
-  v.status = r.Stat();
-  return v;
-}
-
 void Enc(Writer& w, const ParityBatchFrame& v) {
   w.U64(v.batch_seq);
   w.I32(v.group);
@@ -506,17 +469,9 @@ bool EncodePayload(Writer& w, MessageType type, const Payload& p) {
       Enc(w, std::get<SpareWriteBack>(p));
       return true;
     case MessageType::kParityUpdate:
-      if (!std::holds_alternative<ParityUpdate>(p)) return false;
-      Enc(w, std::get<ParityUpdate>(p));
-      return true;
     case MessageType::kParityAck:
-      if (!std::holds_alternative<ParityAck>(p)) return false;
-      Enc(w, std::get<ParityAck>(p));
-      return true;
     case MessageType::kParityNack:
-      if (!std::holds_alternative<ParityNack>(p)) return false;
-      Enc(w, std::get<ParityNack>(p));
-      return true;
+      return false;  // reserved: no payload exists
     case MessageType::kParityBatch:
       if (!std::holds_alternative<ParityBatchFrame>(p)) return false;
       Enc(w, std::get<ParityBatchFrame>(p));
@@ -580,14 +535,9 @@ bool DecodePayload(Reader& r, MessageType type, Payload* out) {
       *out = DecSpareWriteBack(r);
       break;
     case MessageType::kParityUpdate:
-      *out = DecParityUpdate(r);
-      break;
     case MessageType::kParityAck:
-      *out = DecParityAck(r);
-      break;
     case MessageType::kParityNack:
-      *out = DecParityNack(r);
-      break;
+      return false;  // reserved; PeekFrameSize already refused it
     case MessageType::kParityBatch:
       *out = DecParityBatchFrame(r);
       break;
@@ -657,7 +607,10 @@ FrameError PeekFrameSize(const uint8_t* data, size_t size,
   // reported even for a bad type byte: a stream reader can skip exactly
   // this frame and stay synchronized.
   *frame_size = kFrameHeaderBytes + payload_len;
-  if (data[5] >= kNumMessageTypes) return FrameError::kBadType;
+  if (data[5] >= kNumMessageTypes ||
+      IsReservedMessageType(static_cast<MessageType>(data[5]))) {
+    return FrameError::kBadType;
+  }
   return FrameError::kOk;
 }
 

@@ -98,7 +98,7 @@ enum class FrameError : uint8_t {
   kBadLength,         ///< payload_len exceeds kMaxFramePayload
   kTruncatedPayload,  ///< buffer ends before payload_len bytes
   kBadCrc,            ///< frame bytes do not match frame_crc
-  kBadType,           ///< type byte outside the MessageType enum
+  kBadType,           ///< type byte outside the MessageType enum, or reserved
   kBadPayload,        ///< CRC passed but payload does not parse
 };
 constexpr size_t kNumFrameErrors =

@@ -144,7 +144,7 @@ class Network {
   /// message of `type` (before the random fault model). Hook-forced drops
   /// and duplicates are counted like random ones. Pass an empty function
   /// to remove the hook for that type. The string overload resolves the
-  /// wire name ("parity_update") first.
+  /// wire name ("parity_batch") first.
   using FaultHook = std::function<FaultAction(const Message&)>;
   void SetFaultHook(MessageType type, FaultHook hook);
   void SetFaultHook(const std::string& type, FaultHook hook) {

@@ -48,6 +48,9 @@ enum class MessageType : uint8_t {
   kSpareWriteReq,
   kSpareWriteReply,
   kSpareWriteBack,
+  // Reserved: the retired unbatched parity messages. Their numbers stay so
+  // kParityBatch and every later type keep their wire values; no payload
+  // exists for them and DecodeFrame rejects them as kBadType.
   kParityUpdate,
   kParityAck,
   kParityNack,
@@ -62,7 +65,13 @@ enum class MessageType : uint8_t {
 constexpr size_t kNumMessageTypes =
     static_cast<size_t>(MessageType::kHbProbeAck) + 1;
 
-/// Stable on-the-wire name, e.g. "parity_update". Used for stat keys and
+/// True for a type number kept only as a reserved slot (see above).
+constexpr bool IsReservedMessageType(MessageType type) {
+  return type == MessageType::kParityUpdate ||
+         type == MessageType::kParityAck || type == MessageType::kParityNack;
+}
+
+/// Stable on-the-wire name, e.g. "parity_batch". Used for stat keys and
 /// traces; the strings are identical to the pre-enum ones so recorded
 /// stats stay comparable across revisions.
 const std::string& MessageTypeName(MessageType type);
@@ -132,24 +141,6 @@ struct SpareWriteBack {  // degraded-read materialization (fire and forget)
   Block data{0};
   Uid logical_uid;
 };
-struct ParityUpdate {
-  uint64_t op;
-  int group = 0;
-  BlockNum row;
-  int position;
-  uint64_t home_epoch = 0;  // membership epoch of the home site at issue
-  Block delta{0};  // the change mask (wire size = encoded mask)
-  Uid uid;
-  size_t wire_bytes;
-};
-struct ParityAck {
-  uint64_t op;
-};
-struct ParityNack {  // parity site refused the update (stale epoch)
-  uint64_t op;
-  Status status;
-};
-
 /// One coalesced row update inside a batched parity frame: the XOR-merge
 /// of every staged change mask for (row, position), stamped with the
 /// latest contributing UID (formula 1 is associative, so the merged mask
@@ -158,7 +149,8 @@ struct ParityBatchEntry {
   BlockNum row;
   int position;
   uint64_t home_epoch = 0;  // home's epoch when the delta was computed
-                            // (staging time, never restamped on retry)
+                            // (staging time; restamped only after a stale
+                            // refusal, while the sender's copy holds it)
   Block delta{0};           // merged change mask
   Uid uid;                  // newest UID folded into the merge
   size_t wire_bytes = 0;    // encoded-mask cost of `delta`
@@ -206,9 +198,8 @@ struct Heartbeat {
 using Payload =
     std::variant<std::monostate, ReadReq, ReadReply, WriteReq, WriteReply,
                  SpareReadReq, SpareReadReply, SpareTakeReq, SpareWriteReq,
-                 SpareWriteBack, ParityUpdate, ParityAck, ParityNack,
-                 ParityBatchFrame, ParityBatchAck, ReconReq, ReconReply,
-                 Heartbeat>;
+                 SpareWriteBack, ParityBatchFrame, ParityBatchAck, ReconReq,
+                 ReconReply, Heartbeat>;
 
 }  // namespace radd
 

@@ -196,6 +196,25 @@ TEST(ChaosHarness, PqReplayIsDeterministic) {
   EXPECT_EQ(a.Summary(), b.Summary());
 }
 
+TEST(ChaosHarness, BatchedPqAutopilotRegressionSeeds) {
+  // Seeds that once failed with batching, P+Q and the autopilot together
+  // (chaos_main --batch --scheme pq --autopilot). 131 lost an acknowledged
+  // write to a torn pair: one parity applied a delta the other refused as
+  // stale, and the retry diffed against the copy rebuilt from the first.
+  // 18 and 73 left a spare shadowing an up member: the spare's own site
+  // merely suspected the home down, and no sweep ever drained the record.
+  ChaosConfig cfg;
+  cfg.parities = 2;
+  cfg.plan.double_faults = true;
+  cfg.autopilot = true;
+  cfg.node.parity_batch.enabled = true;
+  ChaosHarness harness(cfg);
+  for (const uint64_t seed : {18, 73, 131}) {
+    ChaosReport r = harness.Run(seed);
+    EXPECT_TRUE(r.ok) << r.Summary() << "\n" << r.plan;
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Targeted scenarios on the protocol stack.
 // ---------------------------------------------------------------------------
@@ -247,7 +266,7 @@ TEST_F(ChaosNodeTest, CrashMidWriteBetweenW1AndParityAck) {
 
   // Freeze the write protocol between W1 and the parity ack: the home
   // applies the data block, but its parity update never arrives.
-  net_->SetFaultHook("parity_update",
+  net_->SetFaultHook("parity_batch",
                      [](const Message&) { return FaultAction::kDrop; });
   bool write_done = false;
   Status write_status;

@@ -276,12 +276,12 @@ TEST_F(NetworkTest, PerTypeByteAccounting) {
   Message m;
   m.from = 0;
   m.to = 1;
-  m.type = MessageType::kParityUpdate;
+  m.type = MessageType::kParityBatch;
   m.wire_bytes = 132;
   net_.Send(std::move(m));
   sim_.Run();
-  EXPECT_EQ(net_.stats().Get("net.bytes.parity_update"), 132u);
-  EXPECT_EQ(net_.stats().Get("net.messages.parity_update"), 1u);
+  EXPECT_EQ(net_.stats().Get("net.bytes.parity_batch"), 132u);
+  EXPECT_EQ(net_.stats().Get("net.messages.parity_batch"), 1u);
 }
 
 // ---------------------------------------------------------------------------
@@ -332,37 +332,37 @@ TEST(SimDisk, CorruptingUnmaterializedBlockIsANoOp) {
 TEST_F(NetworkTest, FaultHookDropsAreCountedPerType) {
   int got = 0;
   net_.RegisterHandler(1, [&](const Message&) { ++got; });
-  net_.SetFaultHook("parity_update",
+  net_.SetFaultHook("parity_batch",
                     [](const Message&) { return FaultAction::kDrop; });
   for (int i = 0; i < 5; ++i) {
     Message m;
     m.from = 0;
     m.to = 1;
-    m.type = (i % 2 == 0) ? MessageType::kParityUpdate
+    m.type = (i % 2 == 0) ? MessageType::kParityBatch
                            : MessageType::kWriteReq;
     net_.Send(std::move(m));
   }
   sim_.Run();
   EXPECT_EQ(got, 2);  // only the write_reqs survive
   EXPECT_EQ(net_.stats().Get("net.dropped"), 3u);
-  EXPECT_EQ(net_.stats().Get("net.drop.parity_update"), 3u);
+  EXPECT_EQ(net_.stats().Get("net.drop.parity_batch"), 3u);
   EXPECT_EQ(net_.stats().Get("net.drop.write_req"), 0u);
 }
 
 TEST_F(NetworkTest, FaultHookDuplicatesAreCountedPerType) {
   int got = 0;
   net_.RegisterHandler(1, [&](const Message&) { ++got; });
-  net_.SetFaultHook("parity_ack",
+  net_.SetFaultHook("parity_batch_ack",
                     [](const Message&) { return FaultAction::kDuplicate; });
   Message m;
   m.from = 0;
   m.to = 1;
-  m.type = MessageType::kParityAck;
+  m.type = MessageType::kParityBatchAck;
   net_.Send(std::move(m));
   sim_.Run();
   EXPECT_EQ(got, 2);
   EXPECT_EQ(net_.stats().Get("net.duplicated"), 1u);
-  EXPECT_EQ(net_.stats().Get("net.dup.parity_ack"), 1u);
+  EXPECT_EQ(net_.stats().Get("net.dup.parity_batch_ack"), 1u);
 }
 
 TEST_F(NetworkTest, RandomDuplicatesAreCountedPerType) {

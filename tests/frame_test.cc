@@ -1,4 +1,4 @@
-// Frame codec tests: encode->decode identity for every MessageType, a
+// Frame codec tests: encode->decode identity for every live MessageType, a
 // malformed-frame corpus that must be rejected cleanly (distinct
 // FrameError, no crash, no out-of-bounds access — the suite runs under
 // ASan/UBSan in CI), and random fuzz over DecodeFrame.
@@ -91,25 +91,10 @@ Message MakeMessage(MessageType type) {
       m.payload = std::move(v);
       break;
     }
-    case MessageType::kParityUpdate: {
-      ParityUpdate v;
-      v.op = 49;
-      v.group = 0;
-      v.row = 12;
-      v.position = 2;
-      v.home_epoch = 8;
-      v.delta = Block({0xAA, 0xBB});
-      v.uid = Uid::Make(1, 33);
-      v.wire_bytes = 640;
-      m.payload = std::move(v);
-      break;
-    }
+    case MessageType::kParityUpdate:
     case MessageType::kParityAck:
-      m.payload = ParityAck{50};
-      break;
     case MessageType::kParityNack:
-      m.payload = ParityNack{51, Status::StaleEpoch("fenced")};
-      break;
+      break;  // reserved numbers: no payload exists
     case MessageType::kParityBatch: {
       ParityBatchFrame v;
       v.batch_seq = 77;
@@ -171,6 +156,7 @@ Message MakeMessage(MessageType type) {
 TEST(FrameCodec, EncodeDecodeIdentityEveryType) {
   for (size_t t = 0; t < kNumMessageTypes; ++t) {
     const MessageType type = static_cast<MessageType>(t);
+    if (IsReservedMessageType(type)) continue;  // ReservedTypeDecodesAsBadType
     const Message msg = MakeMessage(type);
     const std::vector<uint8_t> frame = EncodeFrame(msg, /*stream_epoch=*/7);
     ASSERT_FALSE(frame.empty()) << MessageTypeName(type);
@@ -223,13 +209,13 @@ TEST(FrameCodec, StatusMessageSurvives) {
 
 TEST(FrameCodec, MismatchedPayloadVariantRefusesToEncode) {
   Message m;
-  m.type = MessageType::kParityAck;
+  m.type = MessageType::kParityBatchAck;
   m.payload = ReadReq{1, 0, 0};  // wrong alternative for the type
   EXPECT_TRUE(EncodeFrame(m).empty());
 }
 
 TEST(FrameCodec, DefaultEpochIsZero) {
-  const Message msg = MakeMessage(MessageType::kParityAck);
+  const Message msg = MakeMessage(MessageType::kParityBatchAck);
   const std::vector<uint8_t> frame = EncodeFrame(msg);
   const DecodedFrame d = DecodeFrame(frame.data(), frame.size());
   ASSERT_EQ(d.error, FrameError::kOk);
@@ -241,7 +227,7 @@ TEST(FrameCodec, DefaultEpochIsZero) {
 // ---------------------------------------------------------------------------
 
 TEST(FrameCodec, TruncationAtEveryPrefixLength) {
-  const Message msg = MakeMessage(MessageType::kParityUpdate);
+  const Message msg = MakeMessage(MessageType::kParityBatch);
   const std::vector<uint8_t> frame = EncodeFrame(msg);
   for (size_t n = 0; n < frame.size(); ++n) {
     const DecodedFrame d = DecodeFrame(frame.data(), n);
@@ -322,6 +308,35 @@ TEST(FrameCodec, UnknownTypeSkipsFrameButKeepsFraming) {
   EXPECT_EQ(sz, frame.size());
 }
 
+TEST(FrameCodec, ReservedTypeDecodesAsBadType) {
+  // A reserved type number has no payload to encode, and a well-formed
+  // frame (valid CRC) carrying one is refused like an unknown type, with
+  // framing kept intact.
+  const std::vector<uint8_t> valid =
+      EncodeFrame(MakeMessage(MessageType::kParityBatch));
+  for (const MessageType type :
+       {MessageType::kParityUpdate, MessageType::kParityAck,
+        MessageType::kParityNack}) {
+    ASSERT_TRUE(IsReservedMessageType(type));
+    Message reserved;
+    reserved.type = type;
+    EXPECT_TRUE(EncodeFrame(reserved).empty()) << MessageTypeName(type);
+    std::vector<uint8_t> frame = valid;
+    frame[5] = static_cast<uint8_t>(type);
+    const uint32_t len =
+        static_cast<uint32_t>(frame.size() - kFrameHeaderBytes);
+    const uint32_t crc = Crc32cExtend(Crc32c(frame.data(), 28),
+                                      frame.data() + kFrameHeaderBytes, len);
+    for (int i = 0; i < 4; ++i) {
+      frame[28 + static_cast<size_t>(i)] =
+          static_cast<uint8_t>(crc >> (8 * i));
+    }
+    const DecodedFrame d = DecodeFrame(frame.data(), frame.size());
+    EXPECT_EQ(d.error, FrameError::kBadType) << MessageTypeName(type);
+    EXPECT_EQ(d.frame_size, frame.size());
+  }
+}
+
 TEST(FrameCodec, StructurallyShortPayloadIsBadPayload) {
   // A frame whose CRC is valid but whose payload is too short for its
   // type: 4 bytes where WriteReply needs at least 9.
@@ -347,8 +362,8 @@ TEST(FrameCodec, StructurallyShortPayloadIsBadPayload) {
 
 TEST(FrameCodec, TrailingGarbageAfterPayloadIsBadPayload) {
   Message m;
-  m.type = MessageType::kParityAck;
-  m.payload = ParityAck{9};
+  m.type = MessageType::kWriteReply;
+  m.payload = WriteReply{9, Status::OK()};
   std::vector<uint8_t> frame = EncodeFrame(m);
   frame.push_back(0xEE);  // one byte the decoder must refuse to ignore
   const uint32_t len =
@@ -406,8 +421,10 @@ TEST(FrameCodec, FuzzMutatedValidFrames) {
   Rng rng(0xF0222);
   FrameCounters counters;
   for (int iter = 0; iter < 5000; ++iter) {
-    const MessageType type =
-        static_cast<MessageType>(rng.Uniform(kNumMessageTypes));
+    MessageType type;
+    do {
+      type = static_cast<MessageType>(rng.Uniform(kNumMessageTypes));
+    } while (IsReservedMessageType(type));
     std::vector<uint8_t> frame = EncodeFrame(MakeMessage(type), 1);
     const size_t flips = 1 + rng.Uniform(4);
     std::set<size_t> bits;

@@ -4,6 +4,8 @@
 
 #include "core/node.h"
 
+#include "cluster/status_service.h"
+
 #include <gtest/gtest.h>
 
 namespace radd {
@@ -339,7 +341,7 @@ TEST_F(LossyNodeTest, DuplicateParityUpdatesAreIdempotent) {
   sim_->Run();
   // Some retransmissions should have happened and been deduplicated (or
   // at least retransmitted) at this loss rate.
-  EXPECT_GT(sys_->stats().Get("node.parity_retransmit"), 0u);
+  EXPECT_GT(sys_->stats().Get("node.batch_retransmit"), 0u);
   EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
@@ -383,11 +385,11 @@ TEST_F(NodeTest, ParityGiveUpFailsWriteAndReleasesLock) {
   Build(0.0, nc);
   // The home applies W1 but its parity updates all vanish: the write must
   // surface NetworkError rather than hold the row lock hostage.
-  net_->SetFaultHook("parity_update",
+  net_->SetFaultHook("parity_batch",
                      [](const Message&) { return FaultAction::kDrop; });
   auto w = sys_->Write(SiteOf(2), 0, 2, 0, Pat(1));
   EXPECT_TRUE(w.status.IsNetworkError()) << w.status.ToString();
-  EXPECT_GT(sys_->stats().Get("node.parity_gave_up"), 0u);
+  EXPECT_GT(sys_->stats().Get("node.batch_gave_up"), 0u);
 
   // The lock was released: a later write to the same row succeeds.
   net_->ClearFaultHooks();
@@ -411,8 +413,8 @@ TEST_F(NodeTest, ParityGiveUpFailsWriteAndReleasesLock) {
 TEST_F(NodeTest, DuplicatedAndReorderedParityTrafficStaysConsistent) {
   // Duplication alone is covered above; here duplicated *and* reordered
   // parity updates and acks race each other. A stale copy arriving after
-  // a newer update must be recognized (op dedupe + §3.3 UID array) and
-  // re-acked, never re-applied on top of the newer mask.
+  // a newer update must be recognized (batch-seq dedupe + §3.3 UID array)
+  // and re-acked, never re-applied on top of the newer mask.
   net_->set_duplicate_probability(0.4);
   net_->set_reorder_jitter(Millis(60));
   for (int i = 0; i < 25; ++i) {
@@ -420,8 +422,8 @@ TEST_F(NodeTest, DuplicatedAndReorderedParityTrafficStaysConsistent) {
         sys_->Write(SiteOf(3), 0, 3, 1, Pat(100 + uint64_t(i))).status.ok());
   }
   sim_->Run();  // let delayed duplicates land
-  EXPECT_GT(net_->stats().Get("net.dup.parity_update") +
-                net_->stats().Get("net.dup.parity_ack"),
+  EXPECT_GT(net_->stats().Get("net.dup.parity_batch") +
+                net_->stats().Get("net.dup.parity_batch_ack"),
             0u);
   EXPECT_GT(net_->stats().Get("net.reordered"), 0u);
   EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok())
@@ -429,6 +431,82 @@ TEST_F(NodeTest, DuplicatedAndReorderedParityTrafficStaysConsistent) {
   auto r = sys_->Read(SiteOf(0), 0, 3, 1);
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, Pat(124));
+}
+
+TEST_F(NodeTest, ParityRebuiltBehindInFlightEntryAbsorbsItsRetransmit) {
+  // The home releases the row lock once a write's parity entry is staged,
+  // so a second write to the block lands locally while the first entry is
+  // still unacked. A parity row rebuilt from data in that window records
+  // the second write's UID; the first entry's retransmit must then be
+  // absorbed, not XORed in a second time.
+  const BlockNum row = sys_->layout(0).DataToRow(2, 0);
+  const int pm = static_cast<int>(sys_->layout(0).ParitySite(row));
+  bool dropped = false;
+  net_->SetFaultHook("parity_batch", [&dropped](const Message&) {
+    if (dropped) return FaultAction::kDeliver;
+    dropped = true;
+    return FaultAction::kDrop;
+  });
+  int done = 0;
+  for (uint64_t i = 1; i <= 2; ++i) {
+    sys_->AsyncWrite(SiteOf(2), 0, 2, 0, Pat(i),
+                     [&done](Status st, SimTime) {
+                       EXPECT_TRUE(st.ok()) << st.ToString();
+                       ++done;
+                     });
+  }
+  sim_->Schedule(Millis(100), [&]() {
+    ASSERT_TRUE(sys_->group(0)->ScrubParity(pm).ok());
+  });
+  sim_->Run();
+  ASSERT_TRUE(dropped);
+  EXPECT_EQ(done, 2);
+  EXPECT_GT(sys_->stats().Get("node.batch_retransmit"), 0u);
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok())
+      << "the first write's delta was applied twice";
+
+  // Reconstruction through that parity yields the last write.
+  ASSERT_TRUE(cluster_->CrashSite(SiteOf(2)).ok());
+  auto r = sys_->Read(SiteOf(0), 0, 2, 0);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.data, Pat(2));
+}
+
+TEST_F(NodeTest, StaleRefusedEntryIsRestampedWhileTheCopyHoldsIt) {
+  // The home is fenced and rejoins while its write's parity entry is in
+  // flight, with no recovery sweep in between: its epoch moves, so the
+  // parity refuses the entry's stamp, yet the home's copy still holds the
+  // change. Failing the write would leave the parity behind the data for
+  // good (the retry diffs against the updated copy), so the home must
+  // restamp the entry and resend it.
+  SiteStatusService service(sim_.get(), cluster_.get());
+  sys_->SetStatusService(&service);
+  const SiteId home = SiteOf(2);
+  bool dropped = false;
+  net_->SetFaultHook("parity_batch", [&dropped](const Message&) {
+    if (dropped) return FaultAction::kDeliver;
+    dropped = true;
+    return FaultAction::kDrop;
+  });
+  Status result = Status::Internal("write never completed");
+  sys_->AsyncWrite(home, 0, 2, 0, Pat(1),
+                   [&result](Status st, SimTime) { result = st; });
+  sim_->Schedule(Millis(100), [&]() {
+    for (SiteId s = 0; s < 6; ++s) {
+      if (s != home) service.ReportSuspicion(s, home, true);
+    }
+    for (SiteId s = 0; s < 6; ++s) {
+      if (s != home) service.ReportSuspicion(s, home, false);
+    }
+    ASSERT_TRUE(service.MarkUp(home).ok());
+  });
+  sim_->Run();
+  ASSERT_TRUE(dropped);
+  EXPECT_TRUE(result.ok()) << result.ToString();
+  EXPECT_GT(sys_->stats().Get("node.stale_epoch_rejected"), 0u);
+  EXPECT_GT(sys_->stats().Get("node.parity_restamped"), 0u);
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok())
+      << "the parity missed the refused entry's change";
 }
 
 // ---------------------------------------------------------------------------

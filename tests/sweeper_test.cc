@@ -80,7 +80,7 @@ TEST_F(SweeperTest, PacedSweepDrainsSparesAndMarksUp) {
   sim_->Run();
 
   ASSERT_TRUE(service_->NotifyRestart(SiteOf(2)).ok());
-  EXPECT_TRUE(sweeper_->active(2));
+  EXPECT_TRUE(sweeper_->active(0, 2));
   sim_->Run();  // the sweep is the only periodic activity; it must finish
 
   EXPECT_EQ(cluster_->StateOf(SiteOf(2)), SiteState::kUp);
@@ -89,8 +89,8 @@ TEST_F(SweeperTest, PacedSweepDrainsSparesAndMarksUp) {
             static_cast<uint64_t>(config_.rows));
   // Paced: 12 rows at 4 rows/tick is at least 3 ticks, not one burst.
   EXPECT_GE(sweeper_->stats().Get("sweeper.ticks"), 3u);
-  EXPECT_FALSE(sweeper_->active(2));
-  EXPECT_EQ(sweeper_->cursor(2), 0u) << "cursor resets after completion";
+  EXPECT_FALSE(sweeper_->active(0, 2));
+  EXPECT_EQ(sweeper_->cursor(0, 2), 0u) << "cursor resets after completion";
 
   EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
   auto r1 = sys_->Read(SiteOf(3), 0, 2, 1);
@@ -112,13 +112,15 @@ TEST_F(SweeperTest, CrashMidSweepResumesAtCursor) {
 
   ASSERT_TRUE(service_->NotifyRestart(SiteOf(2)).ok());
   // Let the sweep get partway, then kill the site again mid-drain.
-  ASSERT_TRUE(sim_->RunUntilPredicate([&] { return sweeper_->cursor(2) >= 4; }));
-  const BlockNum mid = sweeper_->cursor(2);
+  ASSERT_TRUE(sim_->RunUntilPredicate(
+      [&] { return sweeper_->cursor(0, 2) >= 4; }));
+  const BlockNum mid = sweeper_->cursor(0, 2);
   ASSERT_LT(mid, static_cast<BlockNum>(config_.rows)) << "crash must be mid-sweep";
   ASSERT_TRUE(service_->InjectCrash(SiteOf(2)).ok());
   sim_->Run();
-  EXPECT_FALSE(sweeper_->active(2));
-  EXPECT_EQ(sweeper_->cursor(2), mid) << "cursor (the recovery log) survives";
+  EXPECT_FALSE(sweeper_->active(0, 2));
+  EXPECT_EQ(sweeper_->cursor(0, 2), mid)
+      << "cursor (the recovery log) survives";
 
   ASSERT_TRUE(service_->NotifyRestart(SiteOf(2)).ok());
   sim_->Run();
@@ -149,7 +151,8 @@ TEST_F(SweeperTest, RowsDirtiedBehindTheCursorAreRescanned) {
   ASSERT_TRUE(service_->InjectCrash(SiteOf(2)).ok());
   sim_->Run();
   ASSERT_TRUE(service_->NotifyRestart(SiteOf(2)).ok());
-  ASSERT_TRUE(sim_->RunUntilPredicate([&] { return sweeper_->cursor(2) >= 8; }));
+  ASSERT_TRUE(sim_->RunUntilPredicate(
+      [&] { return sweeper_->cursor(0, 2) >= 8; }));
 
   // Second outage AFTER the cursor passed row 0's region: a write now
   // lands on a spare behind the cursor. Blind resume would miss it; the
@@ -209,7 +212,7 @@ TEST_F(SweeperTest, DiskFailureSweepWithoutRestart) {
   // Media failure: the site stays alive, goes kRecovering, and the sweep
   // reconstructs the lost blocks from the rest of the group.
   ASSERT_TRUE(service_->InjectDiskFailure(SiteOf(1), 0).ok());
-  EXPECT_TRUE(sweeper_->active(1));
+  EXPECT_TRUE(sweeper_->active(0, 1));
   sim_->Run();
   EXPECT_EQ(cluster_->StateOf(SiteOf(1)), SiteState::kUp);
   for (BlockNum i = 0; i < sys_->group(0)->DataBlocksPerMember(); ++i) {
@@ -224,14 +227,14 @@ TEST_F(SweeperTest, StaleEpochMessageFromOldIncarnationRejected) {
   PopulateMember(2, 600);
   StartSweeper();
 
-  // Capture (and suppress) the parity updates of one write, simulating a
+  // Capture (and suppress) the parity frames of one write, simulating a
   // message stuck in the network from the home's current incarnation. The
   // spare path is blocked too, so the write fails outright and its UID
   // never reaches the parity array — the replayed update below cannot be
   // recognized by the §3.3 idempotence check and only the epoch stands
   // between it and the recovered parity block.
   std::optional<Message> delayed;
-  net_->SetFaultHook("parity_update", [&](const Message& m) {
+  net_->SetFaultHook("parity_batch", [&](const Message& m) {
     if (!delayed) delayed = m;
     return FaultAction::kDrop;
   });

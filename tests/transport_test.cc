@@ -120,8 +120,8 @@ TEST(SocketTransportHostileBytes, CorruptFrameSkippedNextFrameDelivered) {
   std::atomic<int> delivered{0};
   std::atomic<uint64_t> got_op{0};
   transport.RegisterHandler(1, [&](Message& m) {
-    if (const auto* ack = std::get_if<ParityAck>(&m.payload)) {
-      got_op = ack->op;
+    if (const auto* rep = std::get_if<WriteReply>(&m.payload)) {
+      got_op = rep->op;
     }
     ++delivered;
   });
@@ -132,14 +132,14 @@ TEST(SocketTransportHostileBytes, CorruptFrameSkippedNextFrameDelivered) {
   bad.from = 0;
   bad.to = 1;
   bad.seq = 1;
-  bad.type = MessageType::kParityAck;
-  bad.payload = ParityAck{66};
+  bad.type = MessageType::kWriteReply;
+  bad.payload = WriteReply{66, Status::OK()};
   std::vector<uint8_t> first = EncodeFrame(bad);
   first[kFrameHeaderBytes] ^= 0x40;  // payload damage: kBadCrc, framing ok
 
   Message good = bad;
   good.seq = 2;
-  good.payload = ParityAck{77};
+  good.payload = WriteReply{77, Status::OK()};
   const std::vector<uint8_t> second = EncodeFrame(good);
 
   std::vector<uint8_t> stream = first;

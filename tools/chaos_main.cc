@@ -192,6 +192,20 @@ int main(int argc, char** argv) {
     return r.ok ? 0 : 1;
   }
 
+  // A failing seed's replay needs every mode flag of this run; only the
+  // seed range and the thread count are left out.
+  std::string mode_flags;
+  for (int i = 1; i < argc; ++i) {
+    if (std::strcmp(argv[i], "--seeds") == 0 ||
+        std::strcmp(argv[i], "--start") == 0 ||
+        std::strcmp(argv[i], "--threads") == 0) {
+      ++i;  // and its value
+      continue;
+    }
+    mode_flags += ' ';
+    mode_flags += argv[i];
+  }
+
   // Run farm: every seed is an independent job with its own harness (and
   // thus its own simulator, cluster, network and protocol stack — no
   // shared mutable state between jobs). Reports are buffered and printed
@@ -239,8 +253,8 @@ int main(int argc, char** argv) {
     if (!r.ok) {
       ++failures;
       std::printf("FAIL %s\n", r.Summary().c_str());
-      std::printf("     reproduce with: %s --seed %llu\n", argv[0],
-                  static_cast<unsigned long long>(s));
+      std::printf("     reproduce with: %s --seed %llu%s\n", argv[0],
+                  static_cast<unsigned long long>(s), mode_flags.c_str());
     } else if (s % 50 == 0) {
       std::printf("...%llu schedules clean so far\n",
                   static_cast<unsigned long long>(s - start + 1));
