@@ -6,14 +6,14 @@
 
 #include "bench/bench_util.h"
 #include "common/format.h"
-#include "layout/layout.h"
+#include "layout/placement.h"
 
 using namespace radd;
 
 namespace {
 
 void PrintLayout(int g, BlockNum rows) {
-  RaddLayout layout(g);
+  RotatedLayout layout(g);
   TextTable t("The Logical Layout of Disk Blocks (G = " + std::to_string(g) +
               ")");
   std::vector<std::string> header = {""};
@@ -62,7 +62,7 @@ int main() {
   PrintLayout(8, 10);
 
   // Capacity accounting (paper §3.1's composition of N*B blocks).
-  RaddLayout layout(8);
+  RotatedLayout layout(8);
   BlockNum rows = 100;
   std::printf(
       "\nComposition of %llu physical blocks per site at G = 8:\n"

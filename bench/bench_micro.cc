@@ -7,7 +7,7 @@
 
 #include "common/block.h"
 #include "core/radd.h"
-#include "layout/layout.h"
+#include "layout/placement.h"
 #include "sim/simulator.h"
 #include "txn/lock_manager.h"
 
@@ -191,7 +191,7 @@ void BM_ChangeMaskApply(benchmark::State& state) {
 BENCHMARK(BM_ChangeMaskApply)->Arg(512)->Arg(4096)->Arg(65536);
 
 void BM_LayoutDataToRow(benchmark::State& state) {
-  RaddLayout layout(8);
+  RotatedLayout layout(8);
   BlockNum i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(layout.DataToRow(3, i++ % 4096));
@@ -200,7 +200,7 @@ void BM_LayoutDataToRow(benchmark::State& state) {
 BENCHMARK(BM_LayoutDataToRow);
 
 void BM_LayoutRoleOf(benchmark::State& state) {
-  RaddLayout layout(8);
+  RotatedLayout layout(8);
   BlockNum r = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(layout.RoleOf(static_cast<SiteId>(r % 10),

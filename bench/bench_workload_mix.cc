@@ -108,7 +108,7 @@ int RunCacheSweep() {
        {size_t{0}, size_t{4}, size_t{8}, size_t{16}, size_t{32}}) {
     RaddConfig config;
     config.group_size = 8;
-    config.rows = RaddLayout(config.group_size).RowsForDataBlocks(kBlocks);
+    config.rows = RotatedLayout(config.group_size).RowsForDataBlocks(kBlocks);
     config.block_size = kBlockSize;
     NodeConfig nc;
     nc.disk_sched.cache_blocks = cache;
@@ -206,7 +206,7 @@ int main(int argc, char** argv) {
   for (int g : {8, 4}) {
     RaddConfig config;
     config.group_size = g;
-    config.rows = RaddLayout(g).RowsForDataBlocks(kBlocks);
+    config.rows = RotatedLayout(g).RowsForDataBlocks(kBlocks);
     config.block_size = kBlockSize;
     SiteConfig sc{1, config.rows, kBlockSize};
     Cluster cluster(std::max(kMembers, g + 2), sc);
@@ -241,7 +241,7 @@ int main(int argc, char** argv) {
   if (groups > 1) {
     RaddConfig config;
     config.group_size = kMembers - 2;
-    config.rows = RaddLayout(config.group_size).RowsForDataBlocks(kBlocks);
+    config.rows = RotatedLayout(config.group_size).RowsForDataBlocks(kBlocks);
     config.block_size = kBlockSize;
     const int num_sites = kMembers - 1 + groups;
     std::vector<int> drives(num_sites, 0);

@@ -40,6 +40,7 @@ int main() {
   config.rows = 60;  // 48 data blocks per member
   SiteConfig sc{1, config.rows, config.block_size};
   CostModel cost;
+  bool all_ok = true;
 
   for (bool use_wal : {true, false}) {
     Cluster cluster(config.group_size + 2, sc);
@@ -89,8 +90,9 @@ int main() {
                 sweep.status().ToString().c_str(),
                 sweep.ok() ? static_cast<unsigned long long>(sweep->Total())
                            : 0ULL);
-    std::printf("  invariants: %s\n\n",
-                radd.VerifyInvariants().ToString().c_str());
+    Status invariants = radd.VerifyInvariants();
+    std::printf("  invariants: %s\n\n", invariants.ToString().c_str());
+    all_ok = all_ok && page.ok() && sweep.ok() && invariants.ok();
   }
 
   std::printf(
@@ -99,5 +101,5 @@ int main() {
       "usable, while the no-overwrite manager restarts after a single root\n"
       "read — so RADD pairs best with no-overwrite storage for site\n"
       "failures.\n");
-  return 0;
+  return all_ok ? 0 : 1;
 }

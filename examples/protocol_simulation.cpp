@@ -32,12 +32,11 @@ int main() {
   for (int m = 0; m < 10; ++m) {
     all_sites.push_back(radd.group(0)->SiteOfMember(m));
   }
-  HeartbeatDetector detector(&sim, &net, &cluster, all_sites);
+  // The detector feeds its suspicions into the system's membership
+  // service, which every protocol decision consults.
+  SiteStatusService* status = radd.status();
+  HeartbeatDetector detector(&sim, &net, status, all_sites);
   detector.Start();
-  // Every protocol decision consults the detector instead of an oracle.
-  radd.SetPerceiver([&detector](SiteId observer, SiteId target) {
-    return detector.Perceived(observer, target);
-  });
 
   WorkloadConfig wc;
   wc.num_members = 10;
@@ -57,8 +56,8 @@ int main() {
       SiteId home_site = radd.group(0)->SiteOfMember(op.member);
       SiteId client = home_site;
       for (SiteId s : all_sites) {
-        if (s != home_site && detector.Perceived(s, home_site) ==
-                                  SiteState::kDown) {
+        if (s != home_site &&
+            status->Perceived(s, home_site) == SiteState::kDown) {
           client = s;
           break;
         }
@@ -99,7 +98,7 @@ int main() {
   cluster.CrashSite(radd.group(0)->SiteOfMember(3));
   sim.RunUntil(sim.Now() + Seconds(3));
   std::printf("detector verdict at site 0: member 3's site is %s\n",
-              std::string(SiteStateName(detector.Perceived(
+              std::string(SiteStateName(status->Perceived(
                   all_sites[0], radd.group(0)->SiteOfMember(3)))).c_str());
   run_ops(300, "degraded");
 

@@ -8,10 +8,12 @@
 //   * disaster         — site down, all disks lost on return.
 //
 // The paper assumes a protocol by which every site knows every other
-// site's state [ABBA85] without elaborating; Cluster provides that as an
-// oracle (instantaneous, always correct), which is the paper's model. A
-// heartbeat-based detector is available as an extension (see
-// cluster/heartbeat.h).
+// site's state [ABBA85] without elaborating; Cluster holds that state as an
+// oracle (instantaneous, always correct), which is the paper's model. The
+// protocol does not read it directly: SiteStatusService
+// (cluster/status_service.h) answers every per-observer query and falls
+// back to this state when no presumption or heartbeat suspicion
+// (cluster/heartbeat.h) overrides it.
 
 #ifndef RADD_CLUSTER_CLUSTER_H_
 #define RADD_CLUSTER_CLUSTER_H_
@@ -94,7 +96,7 @@ class Cluster {
   Site* site(SiteId id);
   const Site* site(SiteId id) const;
 
-  /// Oracle failure detector: the paper's assumption that every site knows
+  /// Ground-truth state: the paper's assumption that every site knows
   /// every other site's state.
   SiteState StateOf(SiteId id) const;
 

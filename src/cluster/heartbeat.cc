@@ -7,12 +7,12 @@ constexpr size_t kHeartbeatBytes = 16;
 }  // namespace
 
 HeartbeatDetector::HeartbeatDetector(Simulator* sim, Network* net,
-                                     Cluster* cluster,
+                                     SiteStatusService* service,
                                      std::vector<SiteId> sites,
                                      const HeartbeatConfig& config)
     : sim_(sim),
       net_(net),
-      cluster_(cluster),
+      service_(service),
       sites_(std::move(sites)),
       config_(config) {
   for (SiteId s : sites_) {
@@ -41,17 +41,12 @@ void HeartbeatDetector::Stop() {
   started_ = false;
 }
 
-bool HeartbeatDetector::Alive(SiteId site) const {
-  if (service_) return service_->ProcessAlive(site);
-  return cluster_->StateOf(site) != SiteState::kDown;
-}
-
 void HeartbeatDetector::Broadcast(SiteId from) {
   if (stopped_) return;
   // Gated on process-aliveness, not on the cluster's view: a fenced site
   // (declared down while its process still runs) keeps broadcasting —
   // that is exactly the signal that lets the control plane rejoin it.
-  if (Alive(from)) {
+  if (service_->ProcessAlive(from)) {
     for (SiteId to : sites_) {
       if (to == from) continue;
       Message m;
@@ -67,13 +62,13 @@ void HeartbeatDetector::Broadcast(SiteId from) {
 }
 
 void HeartbeatDetector::RaiseSuspicion(SiteId observer, SiteId target) {
-  PeerView& v = views_[observer][target];
-  v.suspected = true;
-  v.probing = false;
+  views_[observer][target].probing = false;
   ++transitions_;
   stats_.Add("detector.suspicions");
-  if (Alive(target)) stats_.Add("detector.false_suspicions");
-  if (service_) service_->ReportSuspicion(observer, target, true);
+  if (service_->ProcessAlive(target)) {
+    stats_.Add("detector.false_suspicions");
+  }
+  service_->ReportSuspicion(observer, target, true);
 }
 
 void HeartbeatDetector::Check(SiteId observer) {
@@ -81,7 +76,7 @@ void HeartbeatDetector::Check(SiteId observer) {
   // A down observer makes no observations; its views freeze. (A *fenced*
   // observer is cluster-down too: its stale observations must not keep
   // feeding the control plane while it is out of the membership.)
-  if (cluster_->StateOf(observer) != SiteState::kDown) {
+  if (!Down(observer)) {
     const SimTime limit = config_.interval *
                           static_cast<SimTime>(config_.suspect_after);
     for (SiteId target : sites_) {
@@ -92,11 +87,7 @@ void HeartbeatDetector::Check(SiteId observer) {
         v.probing = false;
         continue;
       }
-      if (v.suspected) continue;
-      if (!config_.confirm_probe) {
-        RaiseSuspicion(observer, target);
-        continue;
-      }
+      if (service_->Suspects(observer, target)) continue;
       if (!v.probing) {
         // Hysteresis: k missed intervals alone could be one reordered or
         // dropped heartbeat. Confirm with a direct probe before flapping
@@ -123,24 +114,23 @@ void HeartbeatDetector::Hear(SiteId observer, SiteId target) {
   PeerView& v = views_[observer][target];
   v.last_heard = sim_->Now();
   v.probing = false;
-  if (v.suspected) {
-    v.suspected = false;
+  if (service_->Suspects(observer, target)) {
     ++transitions_;
     stats_.Add("detector.clears");
-    if (service_) service_->ReportSuspicion(observer, target, false);
+    service_->ReportSuspicion(observer, target, false);
   }
 }
 
 void HeartbeatDetector::OnMessage(SiteId self, Message& msg) {
   if (msg.type == MessageType::kHeartbeat) {
-    if (cluster_->StateOf(self) == SiteState::kDown) return;
+    if (Down(self)) return;
     Hear(self, msg.from);
     return;
   }
   if (msg.type == MessageType::kHbProbe) {
     // Answered iff the process runs — a fenced site replies, advertising
     // that it is worth rejoining.
-    if (Alive(self)) {
+    if (service_->ProcessAlive(self)) {
       Message m;
       m.from = self;
       m.to = msg.from;
@@ -152,7 +142,7 @@ void HeartbeatDetector::OnMessage(SiteId self, Message& msg) {
     return;
   }
   if (msg.type == MessageType::kHbProbeAck) {
-    if (cluster_->StateOf(self) == SiteState::kDown) return;
+    if (Down(self)) return;
     stats_.Add("detector.probes_answered");
     Hear(self, msg.from);
     return;
@@ -161,19 +151,6 @@ void HeartbeatDetector::OnMessage(SiteId self, Message& msg) {
   if (chained != chained_.end() && chained->second) {
     chained->second(msg);
   }
-}
-
-bool HeartbeatDetector::Suspects(SiteId observer, SiteId target) const {
-  auto o = views_.find(observer);
-  if (o == views_.end()) return false;
-  auto t = o->second.find(target);
-  return t != o->second.end() && t->second.suspected;
-}
-
-SiteState HeartbeatDetector::Perceived(SiteId observer,
-                                       SiteId target) const {
-  if (observer == target) return SiteState::kUp;
-  return Suspects(observer, target) ? SiteState::kDown : SiteState::kUp;
 }
 
 }  // namespace radd

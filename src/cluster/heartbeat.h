@@ -11,12 +11,15 @@
 // interval (hysteresis). Hearing from the peer again — heartbeat or probe
 // ack — clears the suspicion.
 //
-// The detector reports per-observer *perceived* states, which is exactly
-// what RaddNodeSystem::SetPerceiver consumes — so a partition that "looks
-// like a single failure" (§5) is handled by the majority side
-// automatically. When wired to a SiteStatusService it additionally feeds
-// every suspicion change into the control plane, which aggregates them
-// under the majority rule into actual kUp -> kDown declarations.
+// The detector feeds every suspicion raise and clear into the
+// SiteStatusService it is built on (RaddNodeSystem::status()) and keeps no
+// copy of its own. The service holds them as per-observer views
+// (SiteStatusService::Suspects), which the protocol reads on every
+// decision — so a partition that "looks like a single failure" (§5) is
+// handled by the majority side automatically — and aggregates them under
+// the majority rule into actual kUp -> kDown declarations. A down site
+// makes no observations, so its last belief stands. Who broadcasts and
+// who answers probes is the service's process-aliveness.
 
 #ifndef RADD_CLUSTER_HEARTBEAT_H_
 #define RADD_CLUSTER_HEARTBEAT_H_
@@ -24,7 +27,6 @@
 #include <map>
 #include <vector>
 
-#include "cluster/cluster.h"
 #include "cluster/status_service.h"
 #include "net/network.h"
 #include "sim/simulator.h"
@@ -35,12 +37,9 @@ namespace radd {
 /// Tunables of the detector.
 struct HeartbeatConfig {
   SimTime interval = Millis(500);
-  /// Missed intervals before a peer is *probed* (and, with confirmation
-  /// disabled, immediately suspected).
+  /// Missed intervals before a peer is probed; the suspicion is raised
+  /// when the probe, too, goes unanswered for one more interval.
   int suspect_after = 3;
-  /// Require an unanswered confirmation probe (one extra interval) before
-  /// declaring. Disable to get the old trigger-happy behavior.
-  bool confirm_probe = true;
 };
 
 /// The detector. One instance serves the whole simulation but keeps
@@ -53,7 +52,8 @@ class HeartbeatDetector {
   /// everything else to the previously registered handler.
   /// RaddNodeSystem chains the same way, so the two may be constructed in
   /// either order.
-  HeartbeatDetector(Simulator* sim, Network* net, Cluster* cluster,
+  /// Every suspicion change goes to `service`.
+  HeartbeatDetector(Simulator* sim, Network* net, SiteStatusService* service,
                     std::vector<SiteId> sites,
                     const HeartbeatConfig& config = {});
 
@@ -64,27 +64,12 @@ class HeartbeatDetector {
   /// rescheduled, so Simulator::Run() can drain the queue.
   void Stop();
 
-  /// Feeds every suspicion raise/clear into the control plane (majority
-  /// aggregation, fencing, rejoin). While attached, process-aliveness —
-  /// who broadcasts and who answers probes — also comes from the service,
-  /// so a *fenced* site (declared down, process alive) keeps heartbeating
-  /// and can be heard again.
-  void SetStatusService(SiteStatusService* service) { service_ = service; }
-
-  /// What `observer` currently believes about `target`. A site always
-  /// believes itself up. Down sites make no observations (their last
-  /// belief is reported, as a real crashed node would have no say).
-  SiteState Perceived(SiteId observer, SiteId target) const;
-
-  /// True once `observer` suspects `target`.
-  bool Suspects(SiteId observer, SiteId target) const;
-
   /// Number of state flips observed (suspicions raised + cleared).
   uint64_t transitions() const { return transitions_; }
 
   /// Suspicions raised against a site whose process was in fact alive
-  /// (ground truth from the cluster/service) — the detector's false
-  /// positive count.
+  /// (ground truth from the service) — the detector's false positive
+  /// count.
   uint64_t false_suspicions() const {
     return stats_.Get("detector.false_suspicions");
   }
@@ -96,7 +81,6 @@ class HeartbeatDetector {
  private:
   struct PeerView {
     SimTime last_heard = 0;
-    bool suspected = false;
     /// A confirmation probe is outstanding.
     bool probing = false;
     SimTime probe_deadline = 0;
@@ -108,16 +92,17 @@ class HeartbeatDetector {
   /// Records life sign `observer` heard from `target`.
   void Hear(SiteId observer, SiteId target);
   void RaiseSuspicion(SiteId observer, SiteId target);
-  /// Process-aliveness ground truth: the service's when attached, else
-  /// "cluster state != down" (the legacy oracle approximation).
-  bool Alive(SiteId site) const;
+  /// True while `site` is cluster-down (fenced or crashed): it makes no
+  /// observations.
+  bool Down(SiteId site) const {
+    return service_->StateOf(site) == SiteState::kDown;
+  }
 
   Simulator* sim_;
   Network* net_;
-  Cluster* cluster_;
+  SiteStatusService* service_;
   std::vector<SiteId> sites_;
   HeartbeatConfig config_;
-  SiteStatusService* service_ = nullptr;
   std::map<SiteId, Network::Handler> chained_;
   /// views_[observer][target].
   std::map<SiteId, std::map<SiteId, PeerView>> views_;

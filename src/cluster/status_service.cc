@@ -2,9 +2,10 @@
 
 namespace radd {
 
-SiteStatusService::SiteStatusService(Simulator* sim, Cluster* cluster)
-    : sim_(sim), cluster_(cluster) {
-  entries_.resize(static_cast<size_t>(cluster_->num_sites()));
+SiteStatusService::SiteStatusService(Cluster* cluster) : cluster_(cluster) {
+  const size_t n = static_cast<size_t>(cluster_->num_sites());
+  entries_.resize(n);
+  views_.resize(n * n);
 }
 
 uint64_t SiteStatusService::Epoch(SiteId site) const {
@@ -25,7 +26,9 @@ Status SiteStatusService::CheckEpoch(SiteId site, uint64_t epoch) const {
 }
 
 bool SiteStatusService::ProcessAlive(SiteId site) const {
-  return site < entries_.size() && entries_[site].alive;
+  return site < entries_.size() &&
+         (cluster_->StateOf(site) != SiteState::kDown ||
+          entries_[site].fenced);
 }
 
 bool SiteStatusService::Converged() const {
@@ -51,9 +54,7 @@ Status SiteStatusService::InjectCrash(SiteId site) {
     return Status::NotFound("no site " + std::to_string(site));
   }
   RADD_RETURN_NOT_OK(cluster_->CrashSite(site));
-  Entry& e = entries_[site];
-  e.alive = false;
-  e.fenced = false;
+  entries_[site].fenced = false;
   Transition(site, SiteState::kDown, "status.crashes");
   return Status::OK();
 }
@@ -63,9 +64,7 @@ Status SiteStatusService::InjectDisaster(SiteId site) {
     return Status::NotFound("no site " + std::to_string(site));
   }
   RADD_RETURN_NOT_OK(cluster_->DisasterSite(site));
-  Entry& e = entries_[site];
-  e.alive = false;
-  e.fenced = false;
+  entries_[site].fenced = false;
   Transition(site, SiteState::kDown, "status.disasters");
   return Status::OK();
 }
@@ -86,9 +85,7 @@ Status SiteStatusService::NotifyRestart(SiteId site) {
   // RestoreSite validates kDown and blanks the disks of a disaster-lost
   // site before the state flips.
   RADD_RETURN_NOT_OK(cluster_->RestoreSite(site));
-  Entry& e = entries_[site];
-  e.alive = true;
-  e.fenced = false;
+  entries_[site].fenced = false;
   Transition(site, SiteState::kRecovering, "status.restarts");
   return Status::OK();
 }
@@ -110,21 +107,29 @@ Status SiteStatusService::MarkUp(SiteId site) {
 
 int SiteStatusService::LiveSuspicion(SiteId target) const {
   int count = 0;
-  for (SiteId o : entries_[target].suspectors) {
-    if (cluster_->StateOf(o) != SiteState::kDown) ++count;
+  for (size_t o = 0; o < entries_.size(); ++o) {
+    const SiteId observer = static_cast<SiteId>(o);
+    if (view(observer, target).suspected &&
+        cluster_->StateOf(observer) != SiteState::kDown) {
+      ++count;
+    }
   }
   return count;
 }
 
+void SiteStatusService::Presume(SiteId observer, SiteId target,
+                                std::optional<SiteState> state) {
+  if (observer >= entries_.size() || target >= entries_.size()) return;
+  view(observer, target).presumed = state;
+}
+
 void SiteStatusService::ReportSuspicion(SiteId observer, SiteId target,
                                         bool suspected) {
-  if (target >= entries_.size() || observer == target) return;
-  Entry& e = entries_[target];
-  if (suspected) {
-    e.suspectors.insert(observer);
-  } else {
-    e.suspectors.erase(observer);
+  if (observer >= entries_.size() || target >= entries_.size() ||
+      observer == target) {
+    return;
   }
+  view(observer, target).suspected = suspected;
   Reevaluate(target);
 }
 
@@ -144,7 +149,7 @@ void SiteStatusService::Reevaluate(SiteId target) {
     // traffic redirects to spares), but still heartbeating, which is the
     // signal that later rejoins it.
     (void)cluster_->CrashSite(target);
-    e.fenced = e.alive;
+    e.fenced = true;
     Transition(target, SiteState::kDown, "status.declared_down");
     return;
   }

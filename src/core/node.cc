@@ -596,7 +596,7 @@ struct RaddNodeSystem::Node {
                      ChangeMask mask, Uid uid, std::function<void()> done,
                      std::function<void(Status)> fail) {
     SiteId parity_site = grp(g)->SiteOfMember(pm);
-    if (sys->Perceived(self, parity_site) == SiteState::kDown) {
+    if (sys->status_.Perceived(self, parity_site) == SiteState::kDown) {
       sys->stats_.Add("node.parity_dropped");
       done();
       return;
@@ -605,9 +605,9 @@ struct RaddNodeSystem::Node {
     // coalescer and one batched frame carries the lot. The op's completion
     // still waits for the batch ack — §5's commit condition.
     parity_done[op] = ParityWait{std::move(done), std::move(fail)};
-    staging[{g, parity_site}].Add(row, home, std::move(mask), uid,
-                                  sys->EpochOf(grp(g)->SiteOfMember(home)),
-                                  op);
+    staging[{g, parity_site}].Add(
+        row, home, std::move(mask), uid,
+        sys->status_.Epoch(grp(g)->SiteOfMember(home)), op);
     sys->stats_.Add("node.parity_staged");
     MaybeFlush(g, parity_site);
   }
@@ -975,7 +975,7 @@ struct RaddNodeSystem::Node {
         // here would leave the parity behind for good: the retry would
         // diff against the updated copy. Restamp and resend instead.
         e.home_epoch =
-            sys->EpochOf(grp(batch.group)->SiteOfMember(e.position));
+            sys->status_.Epoch(grp(batch.group)->SiteOfMember(e.position));
         sys->stats_.Add("node.parity_restamped");
       }
       // Per-entry refusal (lost parity block, or a restamped entry):
@@ -1149,7 +1149,8 @@ struct RaddNodeSystem::Node {
     ScheduleDisk(IoClass::kForeground, IoKind::kWrite, addr, 1,
                  [this, req = std::move(req), reply_to,
                   old_value = std::move(old_value)]() mutable {
-      if (sys->Declared(self, grp(req.group)->SiteOfMember(req.home)) ==
+      if (sys->status_.Declared(self,
+                                grp(req.group)->SiteOfMember(req.home)) ==
           SiteState::kUp) {
         // The home recovered while this flow was queued (slow disk, long
         // reconstruction), or it was only ever suspected, never declared
@@ -1213,12 +1214,12 @@ struct RaddNodeSystem::Node {
     st->reply_to = from;
     const int g = st->req.group;
     const BlockNum row = st->req.row;
-    st->p_up =
-        sys->Perceived(self, grp(g)->SiteOfMember(static_cast<int>(
-                                 lay(g).ParitySite(row)))) == SiteState::kUp;
-    st->q_up =
-        sys->Perceived(self, grp(g)->SiteOfMember(static_cast<int>(
-                                 lay(g).QParitySite(row)))) == SiteState::kUp;
+    st->p_up = sys->status_.Perceived(
+                   self, grp(g)->SiteOfMember(static_cast<int>(
+                             lay(g).ParitySite(row)))) == SiteState::kUp;
+    st->q_up = sys->status_.Perceived(
+                   self, grp(g)->SiteOfMember(static_cast<int>(
+                             lay(g).QParitySite(row)))) == SiteState::kUp;
     DualSpareOld(std::move(st), /*leg=*/1);
   }
 
@@ -1289,7 +1290,8 @@ struct RaddNodeSystem::Node {
       SpareWriteReq& req = st->req;
       const uint64_t op = req.op;
       const BlockNum prow = phys(req.group, req.row);
-      if (sys->Declared(self, grp(req.group)->SiteOfMember(req.home)) ==
+      if (sys->status_.Declared(self,
+                                grp(req.group)->SiteOfMember(req.home)) ==
           SiteState::kUp) {
         // The home is up, or only suspected — committing now would shadow
         // an up member (see CommitSpareWrite).
@@ -1358,7 +1360,8 @@ struct RaddNodeSystem::Node {
       // the home restarted and recovery drained the spares, and a reader
       // that merely suspects the home never triggers its recovery; writing
       // it then would leave a valid spare shadowing an up member.
-      if (sys->Declared(self, grp(wb.group)->SiteOfMember(wb.home)) !=
+      if (sys->status_.Declared(self,
+                                grp(wb.group)->SiteOfMember(wb.home)) !=
           SiteState::kDown) {
         sys->stats_.Add("node.writeback_stale");
         sys->arena_.Return(std::move(wb.data));
@@ -1469,7 +1472,7 @@ struct RaddNodeSystem::Node {
       if (m == rc.home) continue;
       bool lost =
           rc.dead_sources.count(m) != 0 ||
-          sys->Perceived(self, g->SiteOfMember(m)) == SiteState::kDown;
+          sys->status_.Perceived(self, g->SiteOfMember(m)) == SiteState::kDown;
       if (!lost) {
         rc.sources.push_back(dm);
         continue;
@@ -1483,10 +1486,10 @@ struct RaddNodeSystem::Node {
     const int qm = static_cast<int>(l.QParitySite(rc.row));
     const bool p_ok =
         rc.dead_sources.count(pm) == 0 &&
-        sys->Perceived(self, g->SiteOfMember(pm)) == SiteState::kUp;
+        sys->status_.Perceived(self, g->SiteOfMember(pm)) == SiteState::kUp;
     const bool q_ok =
         rc.dead_sources.count(qm) == 0 &&
-        sys->Perceived(self, g->SiteOfMember(qm)) == SiteState::kUp;
+        sys->status_.Perceived(self, g->SiteOfMember(qm)) == SiteState::kUp;
     if (rc.force_leg != 0) {
       // Per-leg old-value decode (spare reissue): the caller falls back to
       // a shared two-erasure decode when a specific leg cannot serve.
@@ -1558,7 +1561,7 @@ struct RaddNodeSystem::Node {
           lay(g).ReconstructionSources(static_cast<SiteId>(home), row);
       for (SiteId src : rc.sources) {
         SiteId site_id = grp(g)->SiteOfMember(static_cast<int>(src));
-        if (sys->Perceived(self, site_id) == SiteState::kDown) {
+        if (sys->status_.Perceived(self, site_id) == SiteState::kDown) {
           rc.done(Status::Blocked("reconstruction source down"), Block(0),
                   Uid());
           return;
@@ -1604,7 +1607,7 @@ struct RaddNodeSystem::Node {
             for (SiteId src : r.sources) {
               SiteId site_id =
                   grp(r.group)->SiteOfMember(static_cast<int>(src));
-              if (sys->Perceived(self, site_id) == SiteState::kDown) {
+              if (sys->status_.Perceived(self, site_id) == SiteState::kDown) {
                 FinishRecon(rit,
                             Status::Blocked("reconstruction source down"),
                             Block(0), Uid());
@@ -1860,6 +1863,7 @@ RaddNodeSystem::RaddNodeSystem(Simulator* sim, Network* net,
     : sim_(sim),
       net_(net),
       cluster_(cluster),
+      status_(cluster),
       node_config_(node_config),
       arena_(specs.front().config.block_size) {
   // Batching off is the coalescer with a threshold of one op and no
@@ -1970,32 +1974,9 @@ RaddNodeSystem::CacheCounters RaddNodeSystem::CacheStats() const {
 
 RaddNodeSystem::~RaddNodeSystem() = default;
 
-SiteState RaddNodeSystem::Perceived(SiteId observer, SiteId target) const {
-  // A detector can only distinguish reachable/unreachable; "reachable" is
-  // refined with the declared state so recovering sites are handled by the
-  // recovering protocol (a real system learns that state during the
-  // reconnect handshake).
-  if (perceiver_ && !presumed_.count({observer, target}) &&
-      perceiver_(observer, target) == SiteState::kDown) {
-    return SiteState::kDown;
-  }
-  return Declared(observer, target);
-}
-
-SiteState RaddNodeSystem::Declared(SiteId observer, SiteId target) const {
-  auto it = presumed_.find({observer, target});
-  if (it != presumed_.end()) return it->second;
-  return cluster_->StateOf(target);
-}
-
-uint64_t RaddNodeSystem::EpochOf(SiteId site) const {
-  return status_service_ != nullptr ? status_service_->Epoch(site) : 0;
-}
-
 Status RaddNodeSystem::CheckMemberEpoch(int grp, int home,
                                         uint64_t epoch) const {
-  if (status_service_ == nullptr) return Status::OK();
-  return status_service_->CheckEpoch(
+  return status_.CheckEpoch(
       groups_[static_cast<size_t>(grp)]->SiteOfMember(home), epoch);
 }
 
@@ -2061,19 +2042,10 @@ void RaddNodeSystem::SetDiskSlowFactor(SiteId site, uint32_t factor) {
   nit->second->disk_slow = factor < 1 ? 1 : factor;
 }
 
-void RaddNodeSystem::SetPresumedState(SiteId observer, SiteId target,
-                                      std::optional<SiteState> state) {
-  if (state) {
-    presumed_[{observer, target}] = *state;
-  } else {
-    presumed_.erase({observer, target});
-  }
-}
-
 void RaddNodeSystem::Dispatch(SiteId site, Message& msg) {
   // A down site's network stack is gone: deliveries are dropped. (The
   // sender sees silence and relies on timeouts, as in a real network.)
-  if (cluster_->StateOf(site) == SiteState::kDown) {
+  if (status_.StateOf(site) == SiteState::kDown) {
     stats_.Add("node.delivered_to_down_site");
     return;
   }
@@ -2146,7 +2118,7 @@ void RaddNodeSystem::Dispatch(SiteId site, Message& msg) {
         req.home = home;
         req.row = pw.row;
         req.deadline = WriteDeadline(pw);
-        req.home_epoch = EpochOf(g->SiteOfMember(home));
+        req.home_epoch = status_.Epoch(g->SiteOfMember(home));
         req.data = pw.data;  // pw keeps its copy for retries
         req.uid = cluster_->site(pw.client)->uids()->Next();
         size_t wire = req.data.size();
@@ -2185,7 +2157,7 @@ void RaddNodeSystem::Dispatch(SiteId site, Message& msg) {
       SiteId home_site = groups_[static_cast<size_t>(pr.group)]->SiteOfMember(
           HostMember(pr.group, pr.home, pr.index));
       if (!pr.tried_home &&
-          Perceived(pr.client, home_site) != SiteState::kDown) {
+          status_.Perceived(pr.client, home_site) != SiteState::kDown) {
         pr.tried_home = true;
         node(pr.client)->Send(home_site, MessageType::kReadReq,
                               ReadReq{rep.op, pr.group, pr.row}, 0);
@@ -2262,13 +2234,13 @@ void RaddNodeSystem::StartReadReconstruction(uint64_t op,
         // repaired by its sweep instead.
         const int home = HostMember(r.group, r.home, r.index);
         if (g->config().materialize_on_degraded_read &&
-            Perceived(r.client, g->SiteOfMember(home)) ==
+            status_.Perceived(r.client, g->SiteOfMember(home)) ==
                 SiteState::kDown) {
           SpareWriteBack wb;
           wb.group = r.group;
           wb.home = home;
           wb.row = r.row;
-          wb.home_epoch = EpochOf(g->SiteOfMember(home));
+          wb.home_epoch = status_.Epoch(g->SiteOfMember(home));
           wb.data = data;  // the read's caller still needs `data`
           wb.logical_uid = logical;
           size_t wire = wb.data.size();
@@ -2306,12 +2278,12 @@ void RaddNodeSystem::StartRead(SiteId client, uint64_t op) {
   const int home = HostMember(pr.group, pr.home, pr.index);
   SiteId home_site = g->SiteOfMember(home);
   Node* client_node = node(pr.client);
-  SiteState state = Perceived(pr.client, home_site);
+  SiteState state = status_.Perceived(pr.client, home_site);
   if (state == SiteState::kDown || state == SiteState::kRecovering) {
     SiteId spare_site =
         g->SiteOfMember(static_cast<int>(g->layout().SpareSite(pr.row)));
     if (g->layout().dual_parity() &&
-        Perceived(pr.client, spare_site) == SiteState::kDown) {
+        status_.Perceived(pr.client, spare_site) == SiteState::kDown) {
       // Home and spare both unreachable (a double failure): asking the
       // dead spare would only burn the retry budget, so go straight to
       // the two-erasure decode.
@@ -2353,14 +2325,14 @@ void RaddNodeSystem::StartWrite(SiteId client, uint64_t op) {
   SiteId home_site = g->SiteOfMember(home);
   Node* client_node = node(pw.client);
   ArmWriteTimer(client, op);
-  if (Perceived(pw.client, home_site) == SiteState::kDown) {
+  if (status_.Perceived(pw.client, home_site) == SiteState::kDown) {
     SpareWriteReq req;
     req.op = op;
     req.group = pw.group;
     req.home = home;
     req.row = pw.row;
     req.deadline = WriteDeadline(pw);
-    req.home_epoch = EpochOf(home_site);
+    req.home_epoch = status_.Epoch(home_site);
     req.data = pw.data;  // pw keeps its copy for retries
     req.uid = cluster_->site(pw.client)->uids()->Next();
     size_t wire = req.data.size();
@@ -2375,7 +2347,7 @@ void RaddNodeSystem::StartWrite(SiteId client, uint64_t op) {
   req.row = pw.row;
   req.home = home;
   req.deadline = WriteDeadline(pw);
-  req.home_epoch = EpochOf(home_site);
+  req.home_epoch = status_.Epoch(home_site);
   req.data = pw.data;  // pw keeps its copy for retries
   size_t wire = req.data.size();
   client_node->Send(home_site, MessageType::kWriteReq, std::move(req), wire);

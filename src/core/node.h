@@ -24,7 +24,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -114,32 +113,18 @@ class RaddNodeSystem {
   TimedWrite Write(SiteId client, int grp, int home, BlockNum index,
                    const Block& data);
 
-  /// Overrides the oracle failure detector for `observer`'s view of
-  /// `target` (partition handling, §5: the majority side treats the
-  /// unreachable site as down). Pass nullopt to clear.
-  void SetPresumedState(SiteId observer, SiteId target,
-                        std::optional<SiteState> state);
-
-  /// Installs a live failure-detector callback (e.g. HeartbeatDetector's
-  /// Perceived) consulted on every state decision; explicit
-  /// SetPresumedState entries take precedence over it, and the cluster
-  /// oracle is the fallback when neither is set. Pass nullptr to remove.
-  using Perceiver = std::function<SiteState(SiteId observer, SiteId target)>;
-  void SetPerceiver(Perceiver perceiver) {
-    perceiver_ = std::move(perceiver);
-  }
-
-  /// Connects the epoch-stamped membership service. Once set, writes,
-  /// spare writes, parity updates and spare write-backs carry the epoch of
-  /// the home site whose data they touch, and receivers reject messages
-  /// stamped with an epoch older than the service's current one
-  /// (StaleEpoch, retryable) — closing the window where a delayed
-  /// pre-transition message, applied after a fast down -> recovering -> up
-  /// cycle, would act on a stale view of the membership. Without a service
-  /// all stamps are 0 and no check is performed (oracle-mode tests).
-  void SetStatusService(const SiteStatusService* service) {
-    status_service_ = service;
-  }
+  /// The membership authority every site-state and epoch decision reads
+  /// (cluster/status_service.h). Writes, spare writes, parity updates and
+  /// spare write-backs carry the epoch of the home site whose data they
+  /// touch, and receivers reject messages stamped with an epoch older than
+  /// the service's current one (StaleEpoch, retryable) — closing the
+  /// window where a delayed pre-transition message, applied after a fast
+  /// down -> recovering -> up cycle, would act on a stale view of the
+  /// membership. Epochs stay 0 until the service itself moves a site, so
+  /// runs that change state on the Cluster directly see no stamps. A
+  /// HeartbeatDetector feeds its suspicions in here; oracle-mode
+  /// partitions set presumptions with Presume.
+  SiteStatusService* status() { return &status_; }
 
   /// Routes every protocol send through `transport` instead of straight
   /// to the Network (net/transport.h). The DES transport frames each
@@ -219,15 +204,6 @@ class RaddNodeSystem {
   /// rest.
   void AddNode(SiteId site);
 
-  /// State that `observer` believes `target` to be in.
-  SiteState Perceived(SiteId observer, SiteId target) const;
-  /// State the membership holds for `target` in `observer`'s view: an
-  /// explicit SetPresumedState entry, else the cluster state. Unlike
-  /// Perceived, a detector's suspicion alone does not count: a site that is
-  /// only suspected down is never swept, so nothing would drain a spare
-  /// written on its behalf. Spare writes and materializations go by this.
-  SiteState Declared(SiteId observer, SiteId target) const;
-
   /// Member currently *hosting* owner `home`'s data block `index` in
   /// group `grp` — identical to `home` except for blocks migrated by an
   /// online expansion. Resolution goes by data index, not row: an
@@ -236,10 +212,8 @@ class RaddNodeSystem {
   /// through this at send time so retries chase a mid-migration move.
   int HostMember(int grp, int home, BlockNum index) const;
 
-  /// Membership epoch of `site` (0 when no status service is connected).
-  uint64_t EpochOf(SiteId site) const;
   /// OK when `epoch` is current for member `home`'s site (in group `grp`);
-  /// StaleEpoch when a status service is connected and knows a newer one.
+  /// StaleEpoch when the status service knows a newer one.
   Status CheckMemberEpoch(int grp, int home, uint64_t epoch) const;
 
   void Dispatch(SiteId site, Message& msg);
@@ -249,6 +223,7 @@ class RaddNodeSystem {
   Network* net_;
   Transport* transport_ = nullptr;  ///< optional send-path override
   Cluster* cluster_;
+  SiteStatusService status_;
   NodeConfig node_config_;
   std::vector<std::unique_ptr<RaddGroup>> groups_;
   /// Free-list for block-sized buffers: message handlers lease scratch
@@ -256,9 +231,6 @@ class RaddNodeSystem {
   BlockArena arena_;
   Stats stats_;
   std::map<SiteId, std::unique_ptr<Node>> nodes_;
-  std::map<std::pair<SiteId, SiteId>, SiteState> presumed_;
-  Perceiver perceiver_;
-  const SiteStatusService* status_service_ = nullptr;
   /// Op-id source on an unsharded simulator: one global monotone counter,
   /// so lock ids (~op) preserve issue order everywhere. Sharded runs mint
   /// per-site ids instead (see NewOpId).

@@ -166,22 +166,16 @@ ChaosReport ChaosHarness::Run(uint64_t seed) {
   // transitions; a kDown declaration resets the node like a real crash
   // would; the sweeper follows kRecovering transitions and repairs in the
   // background, throttled by the foreground in-flight op count.
-  std::optional<SiteStatusService> service;
+  SiteStatusService* service = sys.status();
   std::optional<HeartbeatDetector> detector;
   std::optional<RecoverySweeper> sweeper;
   if (cfg.autopilot) {
     report.autopilot = true;
-    service.emplace(&sim, &cluster);
     std::vector<SiteId> sites;
     for (int s = 0; s < total_sites; ++s) {
       sites.push_back(static_cast<SiteId>(s));
     }
-    detector.emplace(&sim, &net, &cluster, sites, cfg.heartbeat);
-    detector->SetStatusService(&*service);
-    sys.SetStatusService(&*service);
-    sys.SetPerceiver([&](SiteId observer, SiteId target) {
-      return detector->Perceived(observer, target);
-    });
+    detector.emplace(&sim, &net, service, sites, cfg.heartbeat);
     service->AddListener([&](SiteId site, SiteState state, uint64_t) {
       if (state == SiteState::kDown) sys.ResetNodeVolatileState(site);
     });
@@ -199,7 +193,7 @@ ChaosReport ChaosHarness::Run(uint64_t seed) {
     for (int g = 0; g < vol.num_groups(); ++g) {
       sweep_groups.push_back(vol.group(g));
     }
-    sweeper.emplace(&sim, std::move(sweep_groups), &*service, sw);
+    sweeper.emplace(&sim, std::move(sweep_groups), service, sw);
     sweeper->Start();
     detector->Start();
   }
@@ -568,8 +562,8 @@ ChaosReport ChaosHarness::Run(uint64_t seed) {
           minority_member = ep.member;
           if (!cfg.autopilot) {
             for (SiteId o : rest) {
-              sys.SetPresumedState(o, target, SiteState::kDown);
-              sys.SetPresumedState(target, o, SiteState::kDown);
+              service->Presume(o, target, SiteState::kDown);
+              service->Presume(target, o, SiteState::kDown);
             }
           }
           // Autopilot: no oracle. The majority side's detectors notice the
@@ -621,8 +615,8 @@ ChaosReport ChaosHarness::Run(uint64_t seed) {
             // honestly via retransmit exhaustion.
             for (int m = 0; m < total_sites; ++m) {
               if (m == ep.member) continue;
-              sys.SetPresumedState(static_cast<SiteId>(m), target,
-                                   SiteState::kDown);
+              service->Presume(static_cast<SiteId>(m), target,
+                               SiteState::kDown);
             }
           }
           break;
@@ -719,8 +713,8 @@ ChaosReport ChaosHarness::Run(uint64_t seed) {
         // involving the expansion site would stay presumed-down forever.
         for (int m = 0; m < total_sites; ++m) {
           SiteId o = static_cast<SiteId>(m);
-          sys.SetPresumedState(o, target, std::nullopt);
-          sys.SetPresumedState(target, o, std::nullopt);
+          service->Presume(o, target, std::nullopt);
+          service->Presume(target, o, std::nullopt);
         }
         (void)cluster.CrashSite(target);
         sys.ResetNodeVolatileState(target);

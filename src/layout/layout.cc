@@ -1,7 +1,6 @@
 #include "layout/layout.h"
 
 #include <algorithm>
-#include <cassert>
 #include <numeric>
 
 namespace radd {
@@ -20,108 +19,6 @@ std::string_view BlockRoleName(BlockRole role) {
       return "none";
   }
   return "?";
-}
-
-RaddLayout::RaddLayout(int group_size, int parities)
-    : g_(group_size), parities_(parities) {
-  assert(group_size >= 1);
-  assert(parities >= 1 && parities <= 2);
-}
-
-BlockRole RaddLayout::RoleOf(SiteId site, BlockNum row) const {
-  const BlockNum n = static_cast<BlockNum>(num_sites());
-  // i = (K - J - 1) mod n, computed without underflow.
-  BlockNum i = (row % n + n + n - static_cast<BlockNum>(site) - 1) % n;
-  if (i < static_cast<BlockNum>(g_)) return BlockRole::kData;
-  if (i == static_cast<BlockNum>(g_)) return BlockRole::kSpare;
-  if (i == n - 1) return BlockRole::kParity;
-  return BlockRole::kParityQ;
-}
-
-namespace {
-/// The non-data rows of site J's column within one n-row cycle: its
-/// parity row (r = J), its Q row ((J-1) mod n, dual parity only) and its
-/// spare row ((J - parities) mod n) — a contiguous run of parities+1
-/// rows ending at J, returned in ascending order.
-void SkipRows(SiteId site, BlockNum n, int parities, BlockNum* skips,
-              int* num_skips) {
-  const BlockNum last = static_cast<BlockNum>(site);
-  const BlockNum first = (last + n - static_cast<BlockNum>(parities)) % n;
-  int k = 0;
-  if (first > last) {
-    // The run wraps past row n-1: rows 0..J sort ahead of first..n-1.
-    for (BlockNum r = 0; r <= last; ++r) skips[k++] = r;
-    for (BlockNum r = first; r < n; ++r) skips[k++] = r;
-  } else {
-    for (BlockNum r = first; r <= last; ++r) skips[k++] = r;
-  }
-  *num_skips = k;
-}
-}  // namespace
-
-BlockNum RaddLayout::DataToRow(SiteId site, BlockNum data_index) const {
-  // Within each n-row cycle, site J's column skips its parity/Q/spare
-  // rows; the remaining rows carry data blocks numbered densely top to
-  // bottom (Fig. 1's 0,1,2,... down each column). Inserting past the
-  // ascending skip list turns data index i into its row offset.
-  const BlockNum n = static_cast<BlockNum>(num_sites());
-  const BlockNum g = static_cast<BlockNum>(g_);
-  BlockNum cycle = data_index / g;
-  BlockNum i = data_index % g;
-  BlockNum skips[3];
-  int num_skips = 0;
-  SkipRows(site, n, parities_, skips, &num_skips);
-  BlockNum r = i;
-  for (int k = 0; k < num_skips; ++k) {
-    if (r >= skips[k]) ++r;
-  }
-  return n * cycle + r;
-}
-
-Result<BlockNum> RaddLayout::RowToData(SiteId site, BlockNum row) const {
-  const BlockNum n = static_cast<BlockNum>(num_sites());
-  const BlockNum g = static_cast<BlockNum>(g_);
-  BlockNum r = row % n;
-  BlockNum skips[3];
-  int num_skips = 0;
-  SkipRows(site, n, parities_, skips, &num_skips);
-  BlockNum i = r;
-  for (int k = 0; k < num_skips; ++k) {
-    if (r == skips[k]) {
-      return Status::InvalidArgument(
-          "row " + std::to_string(row) + " is the " +
-          std::string(BlockRoleName(RoleOf(site, row))) + " block at site " +
-          std::to_string(site));
-    }
-    if (r > skips[k]) --i;
-  }
-  return (row / n) * g + i;
-}
-
-std::vector<SiteId> RaddLayout::DataSites(BlockNum row) const {
-  std::vector<SiteId> out;
-  out.reserve(static_cast<size_t>(g_));
-  for (int j = 0; j < num_sites(); ++j) {
-    SiteId s = static_cast<SiteId>(j);
-    if (RoleOf(s, row) == BlockRole::kData) out.push_back(s);
-  }
-  return out;
-}
-
-std::vector<SiteId> RaddLayout::ReconstructionSources(SiteId failed_site,
-                                                      BlockNum row) const {
-  // Formula (2): failed block = XOR{other blocks in the group}. The group
-  // for parity purposes is the G data blocks plus the parity block; the
-  // spare site holds no parity-covered content.
-  std::vector<SiteId> out;
-  out.reserve(static_cast<size_t>(g_));
-  SiteId spare = SpareSite(row);
-  for (int j = 0; j < num_sites(); ++j) {
-    SiteId s = static_cast<SiteId>(j);
-    if (s == failed_site || s == spare) continue;
-    out.push_back(s);
-  }
-  return out;
 }
 
 Result<std::vector<DriveGroup>> GroupAssigner::Assign(

@@ -1,24 +1,6 @@
-// The RADD block layout (paper Fig. 1) and the heterogeneous-site grouping
-// algorithm (paper §4).
-//
-// A RADD group has G + 1 + P sites, where P is the number of rotating
-// parity roles (1 in the paper; 2 for the P+Q double-failure scheme).
-// Physical blocks at the same address K on every site form a *row*. In
-// row K of an n = G+1+P site group:
-//   * site  K      mod n holds the row's parity block (P),
-//   * site (K + 1) mod n holds the row's Q parity when P == 2,
-//   * site (K + P) mod n holds the row's spare block (S),
-//   * the remaining G sites hold data blocks.
-// With P == 1 this is exactly the paper's Fig. 1 (n = G+2, spare at
-// K+1); each site numbers its own data blocks 0, 1, 2, ... down its
-// column either way.
-//
-// Closed forms (generalizing the paper's S[1] example):
-//   role(J, K) : let i = (K - J - 1) mod n;
-//                i < G    -> data block I = (K div n) * G + i
-//                i == G   -> spare
-//                i == G+1 -> Q parity   (P == 2 only)
-//                i == n-1 -> parity
+// Block roles and the heterogeneous-site grouping algorithm (paper §4).
+// The rotated Fig. 1 layout itself is RotatedLayout (layout/placement.h),
+// one of the PlacementMap implementations.
 
 #ifndef RADD_LAYOUT_LAYOUT_H_
 #define RADD_LAYOUT_LAYOUT_H_
@@ -41,81 +23,6 @@ namespace radd {
 enum class BlockRole { kData, kParity, kParityQ, kSpare, kNone };
 
 std::string_view BlockRoleName(BlockRole role);
-
-/// Layout math for one RADD group of `group_size` + 1 + `parities` sites.
-class RaddLayout {
- public:
-  /// `group_size` is the paper's G (>= 1); `parities` is 1 for the
-  /// paper's single rotating parity, 2 for the P+Q scheme.
-  explicit RaddLayout(int group_size, int parities = 1);
-
-  int group_size() const { return g_; }
-  int parities() const { return parities_; }
-  bool dual_parity() const { return parities_ == 2; }
-  /// Number of sites in the group: G + 1 + parities.
-  int num_sites() const { return g_ + 1 + parities_; }
-
-  /// Site holding the parity block of row `row` (A = K mod n).
-  SiteId ParitySite(BlockNum row) const {
-    return static_cast<SiteId>(row % static_cast<BlockNum>(num_sites()));
-  }
-
-  /// Site holding the Q parity block of row `row` ((K+1) mod n). Only
-  /// meaningful when dual_parity().
-  SiteId QParitySite(BlockNum row) const {
-    return static_cast<SiteId>((row + 1) %
-                               static_cast<BlockNum>(num_sites()));
-  }
-
-  /// Site holding the spare block of row `row` ((K + parities) mod n;
-  /// the paper's A' = (K+1) mod (G+2) when parities == 1).
-  SiteId SpareSite(BlockNum row) const {
-    return static_cast<SiteId>(
-        (row + static_cast<BlockNum>(parities_)) %
-        static_cast<BlockNum>(num_sites()));
-  }
-
-  /// Role of physical block `row` at `site`.
-  BlockRole RoleOf(SiteId site, BlockNum row) const;
-
-  /// Physical row holding data block `data_index` of `site` (the paper's
-  /// K; generalizes the S[1] formula in §3.2).
-  BlockNum DataToRow(SiteId site, BlockNum data_index) const;
-
-  /// Inverse of DataToRow. Fails with InvalidArgument if `row` holds this
-  /// site's parity or spare block.
-  Result<BlockNum> RowToData(SiteId site, BlockNum row) const;
-
-  /// The G sites holding data in `row`, in site order.
-  std::vector<SiteId> DataSites(BlockNum row) const;
-
-  /// All sites except `site` in `row`'s group — the blocks combined by
-  /// formula (2) (or its two-erasure GF(256) generalization) when
-  /// `site`'s copy must be reconstructed. The spare site's block is
-  /// excluded (it holds no parity-covered content); in dual-parity mode
-  /// the Q site is included and decoders weight it by role.
-  std::vector<SiteId> ReconstructionSources(SiteId failed_site,
-                                            BlockNum row) const;
-
-  /// Number of data blocks each site exposes given `rows` physical blocks
-  /// per site. Only whole (G+2)-row cycles are used; a trailing partial
-  /// cycle is left unused (documented capacity rounding).
-  BlockNum DataBlocksPerSite(BlockNum rows) const {
-    BlockNum cycle = static_cast<BlockNum>(num_sites());
-    return (rows / cycle) * static_cast<BlockNum>(g_);
-  }
-
-  /// Rows needed to expose `data_blocks` data blocks per site.
-  BlockNum RowsForDataBlocks(BlockNum data_blocks) const {
-    BlockNum g = static_cast<BlockNum>(g_);
-    BlockNum cycles = (data_blocks + g - 1) / g;
-    return cycles * static_cast<BlockNum>(num_sites());
-  }
-
- private:
-  int g_;
-  int parities_;
-};
 
 /// One logical drive: `drive_blocks` blocks carved out of a site's disk
 /// system starting at `first_block` (paper §4's logical drives of size B).

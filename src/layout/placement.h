@@ -1,10 +1,10 @@
 // Pluggable placement: the map from (member, row) to block roles and
 // physical addresses, behind a virtual interface so the rotated closed
-// forms (layout.h, paper §3.2/Fig. 1), a declustered t-design table and
-// an epoch-versioned expandable remap are interchangeable.
+// forms (paper §3.2/Fig. 1), a declustered t-design table and an
+// epoch-versioned expandable remap are interchangeable.
 //
-// Vocabulary. A *group* has `num_sites()` members (the map's "sites", as
-// in layout.h: member indices, not cluster site ids). A *row* is one
+// Vocabulary. A *group* has `num_sites()` members (the map's "sites":
+// member indices, not cluster site ids). A *row* is one
 // parity stripe: G data blocks, one spare, and `parities` parity blocks,
 // each on a distinct member. Under the rotated layout every member
 // appears in every row and member m's block for row r sits at physical
@@ -86,9 +86,8 @@ struct PlacementSpec {
 int PlacementGroupWidth(const PlacementSpec& spec, int group_size,
                         int parities);
 
-/// The placement interface. Query names and semantics match RaddLayout
-/// (layout.h) so call sites read identically; see the file comment for
-/// the table-layout extensions.
+/// The placement interface; see the file comment for the table-layout
+/// extensions.
 class PlacementMap {
  public:
   virtual ~PlacementMap() = default;
@@ -155,44 +154,66 @@ class PlacementMap {
   }
 };
 
-/// (a) The legacy rotated layout — every query delegates to the
-/// RaddLayout closed forms, bit-identical to the pre-refactor behavior
-/// (asserted exhaustively in tests/placement_test.cc).
+/// (a) The rotated layout of the paper's Fig. 1, in closed form.
+///
+/// A group has n = G + 1 + P members, where P is the number of rotating
+/// parity roles (1 in the paper; 2 for the P+Q double-failure scheme).
+/// Member m's block for row K sits at physical address K. In row K:
+///   * member  K      mod n holds the row's parity block (P),
+///   * member (K + 1) mod n holds the row's Q parity when P == 2,
+///   * member (K + P) mod n holds the row's spare block (S),
+///   * the remaining G members hold data blocks.
+/// With P == 1 this is exactly Fig. 1 (n = G+2, spare at K+1).
+///
+/// Closed forms (generalizing the paper's S[1] example):
+///   role(J, K) : let i = (K - J - 1) mod n;
+///                i < G    -> data
+///                i == G   -> spare
+///                i == G+1 -> Q parity   (P == 2 only)
+///                i == n-1 -> parity
+///   data index : each member numbers its own data blocks 0, 1, 2, ...
+///                down its column (Fig. 1): the block in row K is
+///                (K div n) * G plus the number of J's data rows above K
+///                in its n-row cycle.
 class RotatedLayout : public PlacementMap {
  public:
-  RotatedLayout(int group_size, int parities)
-      : layout_(group_size, parities) {}
+  /// `group_size` is the paper's G (>= 1); `parities` is 1 for the
+  /// paper's single rotating parity, 2 for the P+Q scheme.
+  explicit RotatedLayout(int group_size, int parities = 1);
 
   PlacementKind kind() const override { return PlacementKind::kRotated; }
-  int group_size() const override { return layout_.group_size(); }
-  int parities() const override { return layout_.parities(); }
-  int num_sites() const override { return layout_.num_sites(); }
+  int group_size() const override { return g_; }
+  int parities() const override { return parities_; }
+  int num_sites() const override { return g_ + 1 + parities_; }
 
+  /// K mod n.
   SiteId ParitySite(BlockNum row) const override {
-    return layout_.ParitySite(row);
+    return static_cast<SiteId>(row % static_cast<BlockNum>(num_sites()));
   }
+  /// (K + 1) mod n; only meaningful when dual_parity().
   SiteId QParitySite(BlockNum row) const override {
-    return layout_.QParitySite(row);
+    return static_cast<SiteId>((row + 1) %
+                               static_cast<BlockNum>(num_sites()));
   }
+  /// (K + P) mod n: the paper's A' = (K+1) mod (G+2) when P == 1.
   SiteId SpareSite(BlockNum row) const override {
-    return layout_.SpareSite(row);
+    return static_cast<SiteId>((row + static_cast<BlockNum>(parities_)) %
+                               static_cast<BlockNum>(num_sites()));
   }
-  BlockRole RoleOf(SiteId member, BlockNum row) const override {
-    return layout_.RoleOf(member, row);
-  }
-  BlockNum DataToRow(SiteId member, BlockNum data_index) const override {
-    return layout_.DataToRow(member, data_index);
-  }
-  Result<BlockNum> RowToData(SiteId member, BlockNum row) const override {
-    return layout_.RowToData(member, row);
-  }
-  std::vector<SiteId> DataSites(BlockNum row) const override {
-    return layout_.DataSites(row);
-  }
+  BlockRole RoleOf(SiteId member, BlockNum row) const override;
+  /// The paper's K for data block `data_index` of `member`.
+  BlockNum DataToRow(SiteId member, BlockNum data_index) const override;
+  /// Inverse of DataToRow. Fails with InvalidArgument if `row` holds this
+  /// member's parity or spare block.
+  Result<BlockNum> RowToData(SiteId member, BlockNum row) const override;
+  /// The G data members of `row`, in member order.
+  std::vector<SiteId> DataSites(BlockNum row) const override;
+  /// Every member except `failed_site` and the row's spare — the blocks
+  /// formula (2) (or its two-erasure GF(256) generalization) combines; in
+  /// dual-parity mode the Q member is included and decoders weight it by
+  /// role.
   std::vector<SiteId> ReconstructionSources(SiteId failed_site,
-                                            BlockNum row) const override {
-    return layout_.ReconstructionSources(failed_site, row);
-  }
+                                            BlockNum row) const override;
   BlockNum NumRows(BlockNum rows) const override { return rows; }
   BlockNum AddressOf(SiteId member, BlockNum row) const override {
     (void)member;
@@ -200,7 +221,8 @@ class RotatedLayout : public PlacementMap {
   }
 
  private:
-  RaddLayout layout_;
+  int g_;
+  int parities_;
 };
 
 /// (b) Declustered placement: per-round permutation tables (see the file

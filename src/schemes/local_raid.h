@@ -21,7 +21,7 @@
 #include <vector>
 
 #include "disk/block_store.h"
-#include "layout/layout.h"
+#include "layout/placement.h"
 
 namespace radd {
 
@@ -64,7 +64,7 @@ class LocalRaid : public BlockStore {
   /// — the paper §2's background reconstruction. Returns ops performed.
   Result<OpCounts> Rebuild();
 
-  const RaddLayout& layout() const { return layout_; }
+  const RotatedLayout& layout() const { return layout_; }
 
   /// Disk on which logical block L's cell lives (for fault injection).
   int DiskOfLogical(BlockNum logical) const { return AddrOf(logical).disk; }
@@ -112,7 +112,7 @@ class LocalRaid : public BlockStore {
 
   DiskArray* disks_;
   LocalRaidConfig config_;
-  RaddLayout layout_;
+  RotatedLayout layout_;
   BlockNum stripes_;
   BlockNum data_blocks_;
   mutable OpCounts ops_;

@@ -163,8 +163,7 @@ TEST_F(ExpansionTest, OldEpochStaysReadableMidMigration) {
 
 TEST_F(ExpansionTest, SweeperPacesMigrationToCompletion) {
   Build();
-  SiteStatusService service(sim_.get(), cluster_.get());
-  vol_->system()->SetStatusService(&service);
+  SiteStatusService& service = *vol_->system()->status();
   std::vector<RaddGroup*> groups = {vol_->group(0)};
   RecoverySweeper sweeper(sim_.get(), groups, &service);
   sweeper.Start();

@@ -15,11 +15,13 @@ class HeartbeatTest : public ::testing::Test {
   HeartbeatTest()
       : net_(&sim_, NetworkModel{}, 3),
         cluster_(4, SiteConfig{1, 8, 256}),
-        detector_(&sim_, &net_, &cluster_, {0, 1, 2, 3}) {}
+        service_(&cluster_),
+        detector_(&sim_, &net_, &service_, {0, 1, 2, 3}) {}
 
   Simulator sim_;
   Network net_;
   Cluster cluster_;
+  SiteStatusService service_;
   HeartbeatDetector detector_;
 };
 
@@ -28,8 +30,8 @@ TEST_F(HeartbeatTest, AllUpNobodySuspected) {
   sim_.RunUntil(Seconds(10));
   for (SiteId a = 0; a < 4; ++a) {
     for (SiteId b = 0; b < 4; ++b) {
-      EXPECT_FALSE(detector_.Suspects(a, b)) << a << " suspects " << b;
-      EXPECT_EQ(detector_.Perceived(a, b), SiteState::kUp);
+      EXPECT_FALSE(service_.Suspects(a, b)) << a << " suspects " << b;
+      EXPECT_EQ(service_.Perceived(a, b), SiteState::kUp);
     }
   }
 }
@@ -40,10 +42,28 @@ TEST_F(HeartbeatTest, CrashedSiteGetsSuspected) {
   ASSERT_TRUE(cluster_.CrashSite(2).ok());
   sim_.RunUntil(Seconds(10));
   for (SiteId a : {0u, 1u, 3u}) {
-    EXPECT_TRUE(detector_.Suspects(a, 2)) << a;
-    EXPECT_EQ(detector_.Perceived(a, 2), SiteState::kDown);
+    EXPECT_TRUE(service_.Suspects(a, 2)) << a;
+    EXPECT_EQ(service_.Perceived(a, 2), SiteState::kDown);
   }
-  EXPECT_FALSE(detector_.Suspects(0, 1));
+  EXPECT_FALSE(service_.Suspects(0, 1));
+}
+
+TEST_F(HeartbeatTest, CrashOutsideTheServiceStopsHeartbeats) {
+  // A site crashed on the Cluster directly — not through InjectCrash — is
+  // dead to the service too: it stops heartbeating and answering probes,
+  // so its peers suspect it. The service changes no state of its own (the
+  // site is already down), so no epoch moves.
+  detector_.Start();
+  sim_.RunUntil(Seconds(5));
+  ASSERT_TRUE(cluster_.CrashSite(1).ok());
+  EXPECT_FALSE(service_.ProcessAlive(1));
+  sim_.RunUntil(Seconds(10));
+  for (SiteId a : {0u, 2u, 3u}) {
+    EXPECT_TRUE(service_.Suspects(a, 1)) << a;
+  }
+  EXPECT_EQ(detector_.false_suspicions(), 0u);
+  EXPECT_EQ(service_.stats().Get("status.declared_down"), 0u);
+  EXPECT_EQ(service_.Epoch(1), 0u);
 }
 
 TEST_F(HeartbeatTest, SuspicionClearsOnReturn) {
@@ -51,11 +71,11 @@ TEST_F(HeartbeatTest, SuspicionClearsOnReturn) {
   sim_.RunUntil(Seconds(5));
   ASSERT_TRUE(cluster_.CrashSite(2).ok());
   sim_.RunUntil(Seconds(10));
-  ASSERT_TRUE(detector_.Suspects(0, 2));
+  ASSERT_TRUE(service_.Suspects(0, 2));
   ASSERT_TRUE(cluster_.RestoreSite(2).ok());
   ASSERT_TRUE(cluster_.MarkUp(2).ok());
   sim_.RunUntil(Seconds(15));
-  EXPECT_FALSE(detector_.Suspects(0, 2));
+  EXPECT_FALSE(service_.Suspects(0, 2));
   EXPECT_GE(detector_.transitions(), 6u);  // 3 raised + 3 cleared
 }
 
@@ -70,7 +90,7 @@ TEST_F(HeartbeatTest, LostHeartbeatsAreProbedNotDeclared) {
   });
   sim_.RunUntil(Seconds(20));
   for (SiteId a : {0u, 1u, 3u}) {
-    EXPECT_FALSE(detector_.Suspects(a, 2)) << a << " flapped on site 2";
+    EXPECT_FALSE(service_.Suspects(a, 2)) << a << " flapped on site 2";
   }
   EXPECT_GT(detector_.stats().Get("detector.probes_sent"), 0u);
   EXPECT_GT(detector_.stats().Get("detector.probes_answered"), 0u);
@@ -81,6 +101,7 @@ TEST_F(HeartbeatTest, LostHeartbeatsAreProbedNotDeclared) {
 TEST_F(HeartbeatTest, UnansweredProbeRaisesFalseSuspicion) {
   // When the probe goes unanswered too, the detector declares — and since
   // the process is in fact alive, the false-positive counter records it.
+  // Every peer suspects it, so the service fences it.
   detector_.Start();
   sim_.RunUntil(Seconds(2));
   auto drop_from_2 = [](const Message& m) {
@@ -89,8 +110,10 @@ TEST_F(HeartbeatTest, UnansweredProbeRaisesFalseSuspicion) {
   net_.SetFaultHook("heartbeat", drop_from_2);
   net_.SetFaultHook("hb_probe_ack", drop_from_2);
   sim_.RunUntil(Seconds(10));
-  EXPECT_TRUE(detector_.Suspects(0, 2));
+  EXPECT_TRUE(service_.Suspects(0, 2));
   EXPECT_GE(detector_.false_suspicions(), 1u);
+  EXPECT_EQ(cluster_.StateOf(2), SiteState::kDown);
+  EXPECT_TRUE(service_.ProcessAlive(2)) << "fenced, not dead";
   net_.ClearFaultHooks();
 }
 
@@ -98,15 +121,13 @@ TEST_F(HeartbeatTest, FencedSiteRejoinsThroughControlPlane) {
   // Detector + service end to end: the majority side of a partition fences
   // the isolated site; after the heal its heartbeats are heard again and
   // the service rejoins it as recovering.
-  SiteStatusService service(&sim_, &cluster_);
-  detector_.SetStatusService(&service);
   detector_.Start();
   sim_.RunUntil(Seconds(2));
   net_.SetPartitions({{0, 1, 3}, {2}});
   sim_.RunUntil(Seconds(10));
   EXPECT_EQ(cluster_.StateOf(2), SiteState::kDown);
-  EXPECT_TRUE(service.ProcessAlive(2)) << "fenced, not dead";
-  EXPECT_EQ(service.stats().Get("status.declared_down"), 1u);
+  EXPECT_TRUE(service_.ProcessAlive(2)) << "fenced, not dead";
+  EXPECT_EQ(service_.stats().Get("status.declared_down"), 1u);
   // The minority side (one observer of three peers) must never declare.
   EXPECT_EQ(cluster_.StateOf(0), SiteState::kUp);
 
@@ -114,24 +135,35 @@ TEST_F(HeartbeatTest, FencedSiteRejoinsThroughControlPlane) {
   sim_.RunUntil(Seconds(20));
   EXPECT_EQ(cluster_.StateOf(2), SiteState::kRecovering)
       << "rejoined, pending a recovery sweep";
-  EXPECT_EQ(service.stats().Get("status.rejoins"), 1u);
-  EXPECT_GE(service.Epoch(2), 2u);
+  EXPECT_EQ(service_.stats().Get("status.rejoins"), 1u);
+  EXPECT_GE(service_.Epoch(2), 2u);
 }
 
 TEST_F(HeartbeatTest, PartitionLooksLikeFailureFromBothSides) {
+  // Site 0 is the singleton. Its checks run first in every tick, so it
+  // raises its suspicions of the whole majority before the majority's
+  // suspicions of it reach the service and fence it; a fenced site makes
+  // no further observations.
   detector_.Start();
   sim_.RunUntil(Seconds(5));
-  net_.SetPartitions({{0, 1, 2}, {3}});
+  net_.SetPartitions({{1, 2, 3}, {0}});
   sim_.RunUntil(Seconds(10));
   // Majority suspects the singleton; the singleton suspects everyone.
-  EXPECT_TRUE(detector_.Suspects(0, 3));
-  EXPECT_TRUE(detector_.Suspects(3, 0));
-  EXPECT_TRUE(detector_.Suspects(3, 1));
-  EXPECT_FALSE(detector_.Suspects(0, 1));
+  EXPECT_TRUE(service_.Suspects(1, 0));
+  EXPECT_TRUE(service_.Suspects(0, 1));
+  EXPECT_TRUE(service_.Suspects(0, 2));
+  EXPECT_TRUE(service_.Suspects(0, 3));
+  EXPECT_FALSE(service_.Suspects(1, 2));
+  // Only the majority's view becomes a declaration (§5): the singleton is
+  // fenced, and its suspicions of three peers never count as a majority.
+  EXPECT_EQ(cluster_.StateOf(0), SiteState::kDown);
+  EXPECT_EQ(cluster_.StateOf(1), SiteState::kUp);
+  EXPECT_EQ(service_.stats().Get("status.declared_down"), 1u);
   net_.Heal();
   sim_.RunUntil(Seconds(15));
-  EXPECT_FALSE(detector_.Suspects(0, 3));
-  EXPECT_FALSE(detector_.Suspects(3, 0));
+  EXPECT_FALSE(service_.Suspects(1, 0));
+  EXPECT_FALSE(service_.Suspects(0, 1));
+  EXPECT_EQ(cluster_.StateOf(0), SiteState::kRecovering);
 }
 
 TEST(HeartbeatIntegration, ChainsToProtocolHandlers) {
@@ -144,7 +176,7 @@ TEST(HeartbeatIntegration, ChainsToProtocolHandlers) {
   Network net(&sim, NetworkModel{}, 5);
   Cluster cluster(6, SiteConfig{1, 12, 256});
   RaddNodeSystem sys(&sim, &net, &cluster, config);
-  HeartbeatDetector detector(&sim, &net, &cluster, {0, 1, 2, 3, 4, 5});
+  HeartbeatDetector detector(&sim, &net, sys.status(), {0, 1, 2, 3, 4, 5});
   detector.Start();
 
   Block b(256);
@@ -155,12 +187,12 @@ TEST(HeartbeatIntegration, ChainsToProtocolHandlers) {
   ASSERT_TRUE(r.status.ok());
   EXPECT_EQ(r.data, b);
 
-  // Detector-driven degraded operation: crash a site, let the detector
-  // notice, then feed its verdicts to the protocol layer.
+  // Detector-driven degraded operation: crash a site and let the
+  // detector notice. Its suspicion reaches the protocol layer through the
+  // system's status service with no hand-off.
   ASSERT_TRUE(cluster.CrashSite(1).ok());
   sim.RunUntil(sim.Now() + Seconds(5));
-  ASSERT_TRUE(detector.Suspects(2, 1));
-  sys.SetPresumedState(2, 1, detector.Perceived(2, 1));
+  ASSERT_TRUE(sys.status()->Suspects(2, 1));
   auto dr = sys.Read(2, 0, 1, 0);
   ASSERT_TRUE(dr.status.ok()) << dr.status.ToString();
   EXPECT_EQ(dr.data, b);
@@ -176,13 +208,16 @@ TEST(HeartbeatIntegration, DetectorBuiltBeforeProtocolKeepsItsTraffic) {
   Simulator sim;
   Network net(&sim, NetworkModel{}, 5);
   Cluster cluster(6, SiteConfig{1, 12, 256});
-  HeartbeatDetector detector(&sim, &net, &cluster, {0, 1, 2, 3, 4, 5});
+  // The system does not exist yet, so the detector reports to a service of
+  // its own; only the handler chain is under test here.
+  SiteStatusService service(&cluster);
+  HeartbeatDetector detector(&sim, &net, &service, {0, 1, 2, 3, 4, 5});
   RaddNodeSystem sys(&sim, &net, &cluster, config);
   detector.Start();
   sim.RunUntil(Seconds(10));
   for (SiteId a = 0; a < 6; ++a) {
     for (SiteId c = 0; c < 6; ++c) {
-      EXPECT_FALSE(detector.Suspects(a, c)) << a << " suspects " << c;
+      EXPECT_FALSE(service.Suspects(a, c)) << a << " suspects " << c;
     }
   }
 

@@ -236,7 +236,7 @@ TEST(WorkloadSoak, TraceReplayIsDeterministic) {
   WorkloadConfig wc;
   wc.num_members = 6;
   wc.blocks_per_member =
-      RaddLayout(config.group_size).DataBlocksPerSite(config.rows);
+      RotatedLayout(config.group_size).DataBlocksPerSite(config.rows);
   wc.block_size = config.block_size;
   wc.zipf_theta = 0.5;
   std::vector<Operation> trace = WorkloadGenerator(wc, 99).Generate(400);

@@ -1,6 +1,7 @@
 // Tests for the Fig. 1 layout math and the §4 grouping algorithm.
 
 #include "layout/layout.h"
+#include "layout/placement.h"
 
 #include <gtest/gtest.h>
 
@@ -16,7 +17,7 @@ namespace {
 // ---------------------------------------------------------------------------
 
 TEST(LayoutFig1, ParityPlacementMatchesPaper) {
-  RaddLayout layout(4);
+  RotatedLayout layout(4);
   // Fig. 1: P on the diagonal — row K's parity at site K mod 6.
   EXPECT_EQ(layout.ParitySite(0), 0u);
   EXPECT_EQ(layout.ParitySite(1), 1u);
@@ -28,7 +29,7 @@ TEST(LayoutFig1, ParityPlacementMatchesPaper) {
 }
 
 TEST(LayoutFig1, SparePlacementMatchesPaper) {
-  RaddLayout layout(4);
+  RotatedLayout layout(4);
   // Fig. 1: S one column right of P (wrapping): row 0 -> site 1, ...,
   // row 5 -> site 0.
   EXPECT_EQ(layout.SpareSite(0), 1u);
@@ -42,7 +43,7 @@ TEST(LayoutFig1, SparePlacementMatchesPaper) {
 TEST(LayoutFig1, ExactDataNumbering) {
   // The full Fig. 1 table. -1 = P, -2 = S, otherwise the data block
   // number printed in the figure.
-  RaddLayout layout(4);
+  RotatedLayout layout(4);
   const int expected[6][6] = {
       {-1, -2, 0, 0, 0, 0},  // block 0
       {0, -1, -2, 1, 1, 1},  // block 1
@@ -73,7 +74,7 @@ TEST(LayoutFig1, ExactDataNumbering) {
 
 TEST(LayoutFig1, PaperS1Formula) {
   // §3.2: on site S[1], K = (G+2)*quotient(I/G) + remainder(I/G) + 2.
-  RaddLayout layout(4);
+  RotatedLayout layout(4);
   for (BlockNum i = 0; i < 40; ++i) {
     BlockNum expected = 6 * (i / 4) + (i % 4) + 2;
     EXPECT_EQ(layout.DataToRow(1, i), expected) << "I=" << i;
@@ -87,7 +88,7 @@ TEST(LayoutFig1, PaperS1Formula) {
 class LayoutPropertyTest : public ::testing::TestWithParam<int> {};
 
 TEST_P(LayoutPropertyTest, EveryRowHasOneParityOneSpareGData) {
-  RaddLayout layout(GetParam());
+  RotatedLayout layout(GetParam());
   const int n = layout.num_sites();
   for (BlockNum row = 0; row < static_cast<BlockNum>(3 * n); ++row) {
     int parity = 0, spare = 0, data = 0;
@@ -119,7 +120,7 @@ TEST_P(LayoutPropertyTest, EveryRowHasOneParityOneSpareGData) {
 }
 
 TEST_P(LayoutPropertyTest, DataToRowRoundTrips) {
-  RaddLayout layout(GetParam());
+  RotatedLayout layout(GetParam());
   const int n = layout.num_sites();
   for (int j = 0; j < n; ++j) {
     SiteId site = static_cast<SiteId>(j);
@@ -136,7 +137,7 @@ TEST_P(LayoutPropertyTest, DataToRowRoundTrips) {
 TEST_P(LayoutPropertyTest, DataNumberingIsDenseAndOrdered) {
   // Walking rows top to bottom, each site's data blocks appear as
   // 0, 1, 2, ... with no gaps (that is how Fig. 1 numbers them).
-  RaddLayout layout(GetParam());
+  RotatedLayout layout(GetParam());
   const int n = layout.num_sites();
   for (int j = 0; j < n; ++j) {
     SiteId site = static_cast<SiteId>(j);
@@ -152,7 +153,7 @@ TEST_P(LayoutPropertyTest, DataNumberingIsDenseAndOrdered) {
 }
 
 TEST_P(LayoutPropertyTest, RowToDataRejectsParityAndSpare) {
-  RaddLayout layout(GetParam());
+  RotatedLayout layout(GetParam());
   const int n = layout.num_sites();
   for (BlockNum row = 0; row < static_cast<BlockNum>(2 * n); ++row) {
     EXPECT_FALSE(layout.RowToData(layout.ParitySite(row), row).ok());
@@ -161,7 +162,7 @@ TEST_P(LayoutPropertyTest, RowToDataRejectsParityAndSpare) {
 }
 
 TEST_P(LayoutPropertyTest, ReconstructionSourcesExcludeFailedAndSpare) {
-  RaddLayout layout(GetParam());
+  RotatedLayout layout(GetParam());
   const int n = layout.num_sites();
   for (BlockNum row = 0; row < static_cast<BlockNum>(2 * n); ++row) {
     for (int f = 0; f < n; ++f) {
@@ -180,7 +181,7 @@ TEST_P(LayoutPropertyTest, ReconstructionSourcesExcludeFailedAndSpare) {
 }
 
 TEST_P(LayoutPropertyTest, CapacityAccounting) {
-  RaddLayout layout(GetParam());
+  RotatedLayout layout(GetParam());
   const BlockNum n = static_cast<BlockNum>(layout.num_sites());
   const BlockNum g = static_cast<BlockNum>(GetParam());
   EXPECT_EQ(layout.DataBlocksPerSite(0), 0u);

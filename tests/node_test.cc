@@ -479,8 +479,7 @@ TEST_F(NodeTest, StaleRefusedEntryIsRestampedWhileTheCopyHoldsIt) {
   // change. Failing the write would leave the parity behind the data for
   // good (the retry diffs against the updated copy), so the home must
   // restamp the entry and resend it.
-  SiteStatusService service(sim_.get(), cluster_.get());
-  sys_->SetStatusService(&service);
+  SiteStatusService& service = *sys_->status();
   const SiteId home = SiteOf(2);
   bool dropped = false;
   net_->SetFaultHook("parity_batch", [&dropped](const Message&) {
@@ -525,7 +524,7 @@ TEST_F(NodeTest, MajorityPartitionOperatesOnSingletonsData) {
   // The majority side treats the unreachable site as down (§5: "As long
   // as the singleton site ceases processing, consistency is guaranteed").
   for (SiteId s : majority) {
-    sys_->SetPresumedState(s, lone, SiteState::kDown);
+    sys_->status()->Presume(s, lone, SiteState::kDown);
   }
   auto r = sys_->Read(SiteOf(0), 0, 2, 0);
   ASSERT_TRUE(r.status.ok()) << r.status.ToString();
@@ -535,7 +534,7 @@ TEST_F(NodeTest, MajorityPartitionOperatesOnSingletonsData) {
 
   // Heal; the singleton re-enters through the recovering protocol.
   net_->Heal();
-  for (SiteId s : majority) sys_->SetPresumedState(s, lone, std::nullopt);
+  for (SiteId s : majority) sys_->status()->Presume(s, lone, std::nullopt);
   ASSERT_TRUE(cluster_->CrashSite(lone).ok());  // formalize its outage
   ASSERT_TRUE(cluster_->RestoreSite(lone).ok());
   sim_->Run();
@@ -551,7 +550,7 @@ TEST_F(NodeTest, MultiWayPartitionBlocks) {
   std::vector<SiteId> a = {SiteOf(0), SiteOf(1), SiteOf(2)};
   std::vector<SiteId> b = {SiteOf(3), SiteOf(4), SiteOf(5)};
   net_->SetPartitions({a, b});
-  for (SiteId x : b) sys_->SetPresumedState(x, SiteOf(2), SiteState::kDown);
+  for (SiteId x : b) sys_->status()->Presume(x, SiteOf(2), SiteState::kDown);
   // From partition B, member 2's data needs reconstruction, whose sources
   // span the cut: the operation must fail rather than return stale data.
   NodeConfig nc;

@@ -3,7 +3,7 @@
 // t-design tables, and the epoch-versioned expandable map. Every
 // implementation must honor the same row-composition, round-trip and
 // reconstruction-source contracts; the rotated implementation must match
-// the RaddLayout closed forms bit for bit.
+// the Fig. 1 closed forms of its header, written out independently here.
 
 #include "layout/placement.h"
 
@@ -258,10 +258,33 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // ---------------------------------------------------------------------------
-// RotatedLayout must be the RaddLayout closed forms, query for query —
-// the refactor's bit-identity guarantee, checked exhaustively for small
-// G x rows grids in both parity modes.
+// RotatedLayout must be the closed forms of its header, query for query,
+// checked exhaustively for small G x rows grids in both parity modes. The
+// reference below restates the formulas directly: roles from
+// i = (K - J - 1) mod n, data indices by counting a member's data rows
+// down its column.
 // ---------------------------------------------------------------------------
+
+struct ClosedForms {
+  int g, parities, n;
+  BlockRole Role(int j, BlockNum k) const {
+    const int i = static_cast<int>(((static_cast<long long>(k) - j - 1) % n +
+                                    n) % n);
+    if (i < g) return BlockRole::kData;
+    if (i == g) return BlockRole::kSpare;
+    if (i == n - 1) return BlockRole::kParity;
+    return BlockRole::kParityQ;
+  }
+  /// Data index of member j's block in row k (k must hold data at j).
+  BlockNum Index(int j, BlockNum k) const {
+    const BlockNum cycle_start = k - k % static_cast<BlockNum>(n);
+    BlockNum above = 0;
+    for (BlockNum r = cycle_start; r < k; ++r) {
+      if (Role(j, r) == BlockRole::kData) ++above;
+    }
+    return (k / static_cast<BlockNum>(n)) * static_cast<BlockNum>(g) + above;
+  }
+};
 
 class RotatedEquivalenceTest
     : public ::testing::TestWithParam<std::pair<int, int>> {};
@@ -270,40 +293,51 @@ TEST_P(RotatedEquivalenceTest, MatchesClosedForms) {
   const int g = GetParam().first;
   const int parities = GetParam().second;
   RotatedLayout map(g, parities);
-  RaddLayout closed(g, parities);
-  const int n = closed.num_sites();
+  const int n = g + 1 + parities;
+  const ClosedForms closed{g, parities, n};
   const BlockNum rows = static_cast<BlockNum>(5 * n);
+  const BlockNum bn = static_cast<BlockNum>(n);
 
   ASSERT_EQ(map.num_sites(), n);
   EXPECT_EQ(map.NumRows(rows), rows);
-  EXPECT_EQ(map.DataBlocksPerSite(rows), closed.DataBlocksPerSite(rows));
-  EXPECT_EQ(map.RowsForDataBlocks(7), closed.RowsForDataBlocks(7));
+  EXPECT_EQ(map.DataBlocksPerSite(rows), 5 * static_cast<BlockNum>(g));
+  EXPECT_EQ(map.RowsForDataBlocks(7),
+            (7 + static_cast<BlockNum>(g) - 1) / static_cast<BlockNum>(g) *
+                bn);
   for (BlockNum row = 0; row < rows; ++row) {
     SCOPED_TRACE("row " + std::to_string(row));
-    EXPECT_EQ(map.ParitySite(row), closed.ParitySite(row));
-    EXPECT_EQ(map.SpareSite(row), closed.SpareSite(row));
+    EXPECT_EQ(map.ParitySite(row), static_cast<SiteId>(row % bn));
+    EXPECT_EQ(map.SpareSite(row),
+              static_cast<SiteId>((row + static_cast<BlockNum>(parities)) %
+                                  bn));
     if (parities == 2) {
-      EXPECT_EQ(map.QParitySite(row), closed.QParitySite(row));
+      EXPECT_EQ(map.QParitySite(row), static_cast<SiteId>((row + 1) % bn));
     }
-    EXPECT_EQ(map.DataSites(row), closed.DataSites(row));
+    std::vector<SiteId> data_sites;
     for (int m = 0; m < n; ++m) {
-      const SiteId member = static_cast<SiteId>(m);
-      EXPECT_EQ(map.RoleOf(member, row), closed.RoleOf(member, row));
-      EXPECT_EQ(map.AddressOf(member, row), row);  // identity addressing
-      EXPECT_EQ(map.ReconstructionSources(member, row),
-                closed.ReconstructionSources(member, row));
-      Result<BlockNum> a = map.RowToData(member, row);
-      Result<BlockNum> b = closed.RowToData(member, row);
-      ASSERT_EQ(a.ok(), b.ok());
-      if (a.ok()) {
-        EXPECT_EQ(*a, *b);
+      if (closed.Role(m, row) == BlockRole::kData) {
+        data_sites.push_back(static_cast<SiteId>(m));
       }
     }
-  }
-  for (int m = 0; m < n; ++m) {
-    for (BlockNum i = 0; i < closed.DataBlocksPerSite(rows); ++i) {
-      EXPECT_EQ(map.DataToRow(static_cast<SiteId>(m), i),
-                closed.DataToRow(static_cast<SiteId>(m), i));
+    EXPECT_EQ(map.DataSites(row), data_sites);
+    for (int m = 0; m < n; ++m) {
+      const SiteId member = static_cast<SiteId>(m);
+      EXPECT_EQ(map.RoleOf(member, row), closed.Role(m, row));
+      EXPECT_EQ(map.AddressOf(member, row), row);  // identity addressing
+      std::vector<SiteId> sources;
+      for (int o = 0; o < n; ++o) {
+        if (o != m && closed.Role(o, row) != BlockRole::kSpare) {
+          sources.push_back(static_cast<SiteId>(o));
+        }
+      }
+      EXPECT_EQ(map.ReconstructionSources(member, row), sources);
+      Result<BlockNum> a = map.RowToData(member, row);
+      ASSERT_EQ(a.ok(), closed.Role(m, row) == BlockRole::kData);
+      if (a.ok()) {
+        const BlockNum want = closed.Index(m, row);
+        EXPECT_EQ(*a, want);
+        EXPECT_EQ(map.DataToRow(member, want), row);
+      }
     }
   }
 }

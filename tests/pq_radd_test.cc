@@ -73,7 +73,7 @@ class PqGroupTest : public ::testing::Test {
 // ---------------------------------------------------------------------------
 
 TEST(PqLayout, RolesPartitionEveryRow) {
-  RaddLayout lay(4, /*parities=*/2);
+  RotatedLayout lay(4, /*parities=*/2);
   ASSERT_EQ(lay.num_sites(), 7);
   for (BlockNum row = 0; row < 21; ++row) {
     int data = 0, p = 0, q = 0, spare = 0;
@@ -99,7 +99,7 @@ TEST(PqLayout, RolesPartitionEveryRow) {
 }
 
 TEST(PqLayout, DataToRowRoundTripsAroundThreeSkips) {
-  RaddLayout lay(4, /*parities=*/2);
+  RotatedLayout lay(4, /*parities=*/2);
   for (int j = 0; j < lay.num_sites(); ++j) {
     SiteId site = static_cast<SiteId>(j);
     for (BlockNum i = 0; i < 40; ++i) {
@@ -116,8 +116,8 @@ TEST(PqLayout, DataToRowRoundTripsAroundThreeSkips) {
 TEST(PqLayout, SingleParityLayoutUnchanged) {
   // parities == 1 must reduce to the paper's Fig. 1 exactly: spare at
   // (K+1) mod (G+2), same data numbering as the original layout.
-  RaddLayout pq1(8);
-  RaddLayout explicit1(8, 1);
+  RotatedLayout pq1(8);
+  RotatedLayout explicit1(8, 1);
   ASSERT_EQ(pq1.num_sites(), explicit1.num_sites());
   for (BlockNum row = 0; row < 30; ++row) {
     EXPECT_EQ(pq1.SpareSite(row),

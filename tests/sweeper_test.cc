@@ -31,8 +31,7 @@ class SweeperTest : public ::testing::Test {
     nc.max_retries = 5;
     sys_ = std::make_unique<RaddNodeSystem>(sim_.get(), net_.get(),
                                             cluster_.get(), config_, nc);
-    service_.emplace(sim_.get(), cluster_.get());
-    sys_->SetStatusService(&*service_);
+    service_ = sys_->status();
     // What the chaos harness wires up: a declared-down site loses its
     // volatile protocol state (it is a process, not an oracle).
     service_->AddListener([this](SiteId site, SiteState state, uint64_t) {
@@ -41,7 +40,7 @@ class SweeperTest : public ::testing::Test {
   }
 
   void StartSweeper(SweeperConfig cfg = {}) {
-    sweeper_.emplace(sim_.get(), sys_->group(0), &*service_, cfg);
+    sweeper_.emplace(sim_.get(), sys_->group(0), service_, cfg);
     sweeper_->Start();
   }
 
@@ -64,7 +63,7 @@ class SweeperTest : public ::testing::Test {
   std::unique_ptr<Network> net_;
   std::unique_ptr<Cluster> cluster_;
   std::unique_ptr<RaddNodeSystem> sys_;
-  std::optional<SiteStatusService> service_;
+  SiteStatusService* service_ = nullptr;
   std::optional<RecoverySweeper> sweeper_;
 };
 

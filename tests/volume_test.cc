@@ -203,8 +203,7 @@ TEST_F(VolumeTest, RecoveryMarksUpOnlyAfterLastSlice) {
 
 TEST_F(VolumeTest, SweeperDrainsAllGroupsConcurrently) {
   Build(4);
-  SiteStatusService service(sim_.get(), cluster_.get());
-  vol_->system()->SetStatusService(&service);
+  SiteStatusService& service = *vol_->system()->status();
   service.AddListener([this](SiteId site, SiteState state, uint64_t) {
     if (state == SiteState::kDown)
       vol_->system()->ResetNodeVolatileState(site);
