@@ -1,8 +1,13 @@
 #include "common/block.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cstring>
+
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
 
 namespace radd {
 
@@ -37,20 +42,147 @@ void XorBytes(uint8_t* dst, const uint8_t* src, size_t n) {
   for (; i < n; ++i) dst[i] ^= src[i];
 }
 
-bool XorBytes3(uint8_t* dst, const uint8_t* a, const uint8_t* b, size_t n) {
-  uint64_t any = 0;
+namespace {
+
+/// Accumulates the §7.4 encoded size of a mask fed to it as 64-byte zero
+/// maps (bit j set iff byte j of the chunk is zero), in order.
+///
+/// Call a byte *covered* if it or one of the 8 bytes before it is nonzero.
+/// From the first changed byte to the last, every covered byte costs one
+/// wire byte: a changed byte is payload, a gap of g <= 8 zeros is shipped
+/// inside its run (g bytes), and the first 8 zeros of a wider gap pay for
+/// the 8-byte header of the run after it. Zeros past the eighth are free.
+/// So the size is the mask and first-run headers plus the covered bytes,
+/// less the (at most 8) covered bytes after the last changed one. The
+/// scan counts the uncovered bytes with shift-and-AND over the zero maps,
+/// and all-nonzero and all-zero chunks skip even that.
+class RunSizer {
+ public:
+  void Add(uint64_t z) {
+    if (z == 0) {
+      // Every byte changed: all covered, and no zero run reaches past it.
+      z1_ = z2_ = z4_ = 0;
+      end_ = base_ + 64;
+    } else if (z == ~uint64_t{0} && z1_ == ~uint64_t{0}) {
+      // Deep inside a gap: nothing covered, every run map stays full.
+      z2_ = z4_ = ~uint64_t{0};
+      uncovered_ += 64;
+    } else {
+      // zk: bit j set iff bytes j-k+1 .. j are all zero, with the previous
+      // chunk's maps shifted in from below.
+      const uint64_t z2 = z & ((z << 1) | (z1_ >> 63));
+      const uint64_t z4 = z2 & ((z2 << 2) | (z2_ >> 62));
+      const uint64_t z8 = z4 & ((z4 << 4) | (z4_ >> 60));
+      const uint64_t z9 = z8 & ((z << 8) | (z1_ >> 56));
+      uncovered_ += static_cast<size_t>(std::popcount(z9));
+      if (~z != 0) {
+        end_ = base_ + 64 - static_cast<size_t>(std::countl_zero(~z));
+      }
+      z1_ = z;
+      z2_ = z2;
+      z4_ = z4;
+    }
+    base_ += 64;
+  }
+
+  /// The encoded size once every chunk (zero-padded to 64) has been added.
+  size_t Size() const {
+    constexpr size_t kRunHeader = 8;
+    if (end_ == 0) return ChangeMask::kHeaderBytes;
+    return ChangeMask::kHeaderBytes + kRunHeader + (base_ - uncovered_) -
+           std::min(base_ - end_, kRunHeader);
+  }
+
+ private:
+  // The previous chunk's z1/z2/z4 maps; the mask starts behind a gap.
+  uint64_t z1_ = ~uint64_t{0};
+  uint64_t z2_ = ~uint64_t{0};
+  uint64_t z4_ = ~uint64_t{0};
+  size_t uncovered_ = 0;
+  size_t end_ = 0;  // one past the last nonzero byte so far; 0 = none yet
+  size_t base_ = 0;
+};
+
+/// The chunk of `len` <= 64 bytes at offset i of a sized pass, a byte at a
+/// time: with kXor, writes dst = a ^ b; either way returns the zero map of
+/// the result (a itself without kXor), with bytes past `len` read as zero.
+template <bool kXor>
+uint64_t ScalarChunk(uint8_t* dst, const uint8_t* a, const uint8_t* b,
+                     size_t i, size_t len) {
+  uint64_t z = ~uint64_t{0};
+  for (size_t k = 0; k < len; ++k) {
+    uint8_t v = a[i + k];
+    if constexpr (kXor) {
+      v = static_cast<uint8_t>(v ^ b[i + k]);
+      dst[i + k] = v;
+    }
+    if (v != 0) z &= ~(uint64_t{1} << k);
+  }
+  return z;
+}
+
+/// ScalarChunk of a whole 64-byte chunk, as four SSE2 vectors where the
+/// target has them.
+template <bool kXor>
+inline uint64_t Chunk64(uint8_t* dst, const uint8_t* a, const uint8_t* b,
+                        size_t i) {
+#if defined(__SSE2__)
+  const __m128i zero = _mm_setzero_si128();
+  __m128i v[4];
+  for (size_t k = 0; k < 4; ++k) {
+    const size_t at = i + 16 * k;
+    v[k] = _mm_loadu_si128(reinterpret_cast<const __m128i*>(a + at));
+    if constexpr (kXor) {
+      v[k] = _mm_xor_si128(
+          v[k], _mm_loadu_si128(reinterpret_cast<const __m128i*>(b + at)));
+      _mm_storeu_si128(reinterpret_cast<__m128i*>(dst + at), v[k]);
+    }
+  }
+  // Most chunks of a mask are all changed (dense masks) or all zero
+  // (sparse ones): one compare of the bytewise min, or of the OR, settles
+  // those without building the map.
+  const __m128i lo =
+      _mm_min_epu8(_mm_min_epu8(v[0], v[1]), _mm_min_epu8(v[2], v[3]));
+  if (_mm_movemask_epi8(_mm_cmpeq_epi8(lo, zero)) == 0) return 0;
+  const __m128i any =
+      _mm_or_si128(_mm_or_si128(v[0], v[1]), _mm_or_si128(v[2], v[3]));
+  if (_mm_movemask_epi8(_mm_cmpeq_epi8(any, zero)) == 0xFFFF) {
+    return ~uint64_t{0};
+  }
+  uint64_t z = 0;
+  for (size_t k = 0; k < 4; ++k) {
+    const uint32_t bits =
+        static_cast<uint32_t>(_mm_movemask_epi8(_mm_cmpeq_epi8(v[k], zero)));
+    z |= static_cast<uint64_t>(bits) << (16 * k);
+  }
+  return z;
+#else
+  return ScalarChunk<kXor>(dst, a, b, i, 64);
+#endif
+}
+
+/// Sizes (and with kXor writes) a mask chunk by chunk. Pointers are only
+/// offset inside the chunk functions, so the unused `dst` and `b` of a
+/// scan may be null.
+template <bool kXor>
+size_t SizedPass(uint8_t* dst, const uint8_t* a, const uint8_t* b,
+                 size_t n) {
+  RunSizer sizer;
   size_t i = 0;
-  for (; i + 8 <= n; i += 8) {
-    uint64_t x = LoadU64(a + i) ^ LoadU64(b + i);
-    StoreU64(dst + i, x);
-    any |= x;
-  }
-  for (; i < n; ++i) {
-    uint8_t x = static_cast<uint8_t>(a[i] ^ b[i]);
-    dst[i] = x;
-    any |= x;
-  }
-  return any != 0;
+  for (; i + 64 <= n; i += 64) sizer.Add(Chunk64<kXor>(dst, a, b, i));
+  if (i < n) sizer.Add(ScalarChunk<kXor>(dst, a, b, i, n - i));
+  return sizer.Size();
+}
+
+}  // namespace
+
+size_t XorBytesSized(uint8_t* dst, const uint8_t* a, const uint8_t* b,
+                     size_t n) {
+  return SizedPass<true>(dst, a, b, n);
+}
+
+size_t EncodedSizeOf(const uint8_t* p, size_t n) {
+  return SizedPass<false>(nullptr, p, nullptr, n);
 }
 
 bool AllZero(const uint8_t* p, size_t n) {
@@ -68,21 +200,6 @@ bool AllZero(const uint8_t* p, size_t n) {
     if (p[i] != 0) return false;
   }
   return true;
-}
-
-size_t FindNonzero(const uint8_t* p, size_t from, size_t n) {
-  size_t i = from;
-  // Byte-align the scan cheaply, then skip zero words.
-  for (; i < n && (i & 7) != 0; ++i) {
-    if (p[i] != 0) return i;
-  }
-  for (; i + 8 <= n; i += 8) {
-    if (LoadU64(p + i) != 0) break;
-  }
-  for (; i < n; ++i) {
-    if (p[i] != 0) return i;
-  }
-  return n;
 }
 
 }  // namespace internal
@@ -169,7 +286,7 @@ Status XorInto(Block* dst, const Block& a, const Block& b) {
                                    std::to_string(a.size()) + ", " +
                                    std::to_string(b.size()));
   }
-  internal::XorBytes3(dst->data(), a.data(), b.data(), dst->size());
+  internal::XorBytesSized(dst->data(), a.data(), b.data(), dst->size());
   return Status::OK();
 }
 
@@ -190,18 +307,14 @@ Result<ChangeMask> ChangeMask::Diff(const Block& old_block,
     return Status::InvalidArgument("diff of mismatched block sizes");
   }
   Block delta(old_block.size());
-  bool nonzero = internal::XorBytes3(delta.data(), old_block.data(),
-                                     new_block.data(), delta.size());
-  return ChangeMask(std::move(delta), nonzero ? 0 : 1);
+  const size_t size = internal::XorBytesSized(
+      delta.data(), old_block.data(), new_block.data(), delta.size());
+  return ChangeMask(std::move(delta), size);
 }
 
 ChangeMask ChangeMask::FromFull(Block block) {
-  return ChangeMask(std::move(block));
-}
-
-bool ChangeMask::IsNoop() const {
-  if (known_zero_ < 0) known_zero_ = delta_.IsZero() ? 1 : 0;
-  return known_zero_ == 1;
+  const size_t size = internal::EncodedSizeOf(block.data(), block.size());
+  return ChangeMask(std::move(block), size);
 }
 
 Status ChangeMask::ApplyTo(Block* target) const {
@@ -210,12 +323,12 @@ Status ChangeMask::ApplyTo(Block* target) const {
                                    std::to_string(target->size()) + " vs " +
                                    std::to_string(delta_.size()));
   }
-  if (known_zero_ == 1) return Status::OK();  // XOR with zero: no-op
+  if (IsNoop()) return Status::OK();  // XOR with zero: no-op
   return target->XorWith(delta_);
 }
 
 size_t ChangeMask::ChangedBytes() const {
-  if (known_zero_ == 1) return 0;
+  if (IsNoop()) return 0;
   const uint8_t* p = delta_.data();
   const size_t n = delta_.size();
   size_t count = 0;
@@ -228,41 +341,6 @@ size_t ChangeMask::ChangedBytes() const {
   }
   for (; i < n; ++i) count += p[i] != 0;
   return count;
-}
-
-size_t ChangeMask::EncodedSize() const {
-  // Runs of changed bytes separated by gaps shorter than the per-run header
-  // (8 bytes: 4-byte offset + 4-byte length) are coalesced, matching what a
-  // sensible encoder would ship. The scan hops from nonzero byte to nonzero
-  // byte at word speed; an all-zero mask short-circuits to the bare header.
-  constexpr size_t kRunHeader = 8;
-  constexpr size_t kMaskHeader = 8;  // block number + mask version, etc.
-  if (IsNoop()) return kMaskHeader;
-  const uint8_t* p = delta_.data();
-  const size_t n = delta_.size();
-  size_t total = kMaskHeader;
-  size_t run_first = internal::FindNonzero(p, 0, n);
-  while (run_first < n) {
-    size_t run_last = run_first;
-    size_t next_run = n;
-    for (size_t i = run_first + 1; i < n;) {
-      if (p[i] != 0) {
-        run_last = i++;  // dense path: one compare per byte, no call
-        continue;
-      }
-      size_t nz = internal::FindNonzero(p, i, n);
-      if (nz < n && nz - run_last - 1 <= kRunHeader) {
-        run_last = nz;  // gap small enough: coalesce into the current run
-        i = nz + 1;
-        continue;
-      }
-      next_run = nz;
-      break;
-    }
-    total += kRunHeader + (run_last - run_first + 1);
-    run_first = next_run;
-  }
-  return total;
 }
 
 }  // namespace radd

@@ -10,11 +10,13 @@
 // (a 100-byte record update in a 4 KB block ships ~100 bytes, not 4 KB).
 //
 // Performance: every RADD operation bottoms out here, so the kernels
-// (XOR, zero test, diff, run scan, checksum) run word-at-a-time over
-// uint64_t lanes with unaligned-safe head/tail handling; the plain loops
-// auto-vectorize under -O2. Byte-level semantics (including the §7.4 run
-// coalescing rule) are unchanged — tests/block_kernel_test.cc checks the
-// word-wise paths against byte-wise references at awkward sizes.
+// (XOR, zero test, diff) run word-at-a-time over uint64_t lanes or 16-byte
+// SSE2 vectors with unaligned-safe head/tail handling. A change mask learns
+// its §7.4 wire size in the same pass that writes its delta, so
+// EncodedSize() and IsNoop() are reads, not scans. Byte-level semantics
+// (including the §7.4 run coalescing rule) are unchanged —
+// tests/block_kernel_test.cc checks the kernels against byte-wise
+// references at awkward sizes.
 
 #ifndef RADD_COMMON_BLOCK_H_
 #define RADD_COMMON_BLOCK_H_
@@ -32,13 +34,15 @@ namespace radd {
 namespace internal {
 /// dst[i] ^= src[i] for i in [0, n). Word-at-a-time; any alignment.
 void XorBytes(uint8_t* dst, const uint8_t* src, size_t n);
-/// dst[i] = a[i] ^ b[i] for i in [0, n); returns true if any output byte
-/// is nonzero (fused so ChangeMask::Diff learns no-op-ness in one pass).
-bool XorBytes3(uint8_t* dst, const uint8_t* a, const uint8_t* b, size_t n);
+/// dst[i] = a[i] ^ b[i] for i in [0, n) (`dst` may be `a`), returning the
+/// §7.4 encoded size of the result (ChangeMask::EncodedSize) from the same
+/// pass.
+size_t XorBytesSized(uint8_t* dst, const uint8_t* a, const uint8_t* b,
+                     size_t n);
+/// The §7.4 encoded size of the mask bytes [p, p+n).
+size_t EncodedSizeOf(const uint8_t* p, size_t n);
 /// True if every byte of [p, p+n) is zero.
 bool AllZero(const uint8_t* p, size_t n);
-/// Index of the first nonzero byte in [from, n), or n if none.
-size_t FindNonzero(const uint8_t* p, size_t from, size_t n);
 }  // namespace internal
 
 /// Index of a physical block (row) on a site's logical disk.
@@ -88,9 +92,11 @@ class Block {
   /// (useful for tests and workload generation).
   void FillPattern(uint64_t seed);
 
-  /// 64-bit FNV-1a-style checksum of the contents, folded over uint64_t
-  /// lanes (plus a length term) so it runs at word speed. Only ever
-  /// compared against other checksums computed by this same function.
+  /// 64-bit FNV-1a-style content identity, folded over uint64_t lanes
+  /// (plus a length term). The chaos ledger and read-back checks compare
+  /// blocks by it, where a 32-bit value would be too narrow over millions
+  /// of comparisons. It is not the disk's integrity stamp: SimDisk stamps
+  /// records with CRC32C (common/crc32c.h).
   uint64_t Checksum() const;
 
   friend bool operator==(const Block& a, const Block& b) {
@@ -137,44 +143,49 @@ Status XorAllInto(Block* out, size_t n, BlockAt&& at) {
 Result<Block> XorAll(const std::vector<const Block*>& blocks);
 
 /// The bitwise difference between an old and a new version of a block,
-/// plus a compact wire encoding of it.
+/// plus the size of its compact wire encoding.
 ///
 /// Delivery semantics: applying a ChangeMask to a block XORs the delta in,
 /// which is exactly the parity-site side of formula (1). Applying the same
 /// mask to the old data block yields the new one.
+///
+/// Every mask carries its §7.4 encoded size, computed by the pass that
+/// built the delta (Diff's XOR, FromFull's scan, the parity coalescer's
+/// merge), so EncodedSize() and IsNoop() never rescan the delta.
 class ChangeMask {
  public:
-  /// Computes `new_block XOR old_block`. Sizes must match. The diff pass
-  /// also learns whether the blocks were identical, so the no-op case
-  /// short-circuits IsNoop()/EncodedSize() without another scan.
+  /// Wire bytes of a mask with no runs: block number, mask version, etc.
+  static constexpr size_t kHeaderBytes = 8;
+
+  /// Computes `new_block XOR old_block`. Sizes must match.
   static Result<ChangeMask> Diff(const Block& old_block,
                                  const Block& new_block);
 
   /// A mask equal to the full contents of `block` (i.e. diff against an
   /// all-zero old block). Used when the old contents are unknown. Accepts
-  /// the block by value so callers can move instead of copy.
+  /// the block by value so callers can move instead of copy; one scan
+  /// learns its size.
   static ChangeMask FromFull(Block block);
 
   /// XORs the delta into `target` (formula (1) parity update, or forward
-  /// application old -> new). Sizes must match. A known-no-op mask skips
-  /// the XOR pass entirely.
+  /// application old -> new). Sizes must match. A no-op mask skips the
+  /// XOR pass entirely.
   Status ApplyTo(Block* target) const;
 
   /// Size of the block this mask applies to.
   size_t block_size() const { return delta_.size(); }
 
-  /// True if the mask changes nothing. O(1) for masks built by Diff;
-  /// computed (and cached) on first use otherwise.
-  bool IsNoop() const;
+  /// True if the mask changes nothing.
+  bool IsNoop() const { return encoded_size_ == kHeaderBytes; }
 
   /// Number of bytes in which old and new differ.
   size_t ChangedBytes() const;
 
   /// Bytes this mask occupies on the wire under the §7.4 encoding:
-  /// changed bytes are shipped as (offset, length, payload) runs; runs
-  /// closer than 8 bytes apart are coalesced. A no-op mask costs the
-  /// 8-byte header only.
-  size_t EncodedSize() const;
+  /// changed bytes are shipped as (offset, length, payload) runs behind an
+  /// 8-byte run header; runs at most 8 bytes apart are coalesced. A no-op
+  /// mask costs the header only.
+  size_t EncodedSize() const { return encoded_size_; }
 
   const Block& delta() const { return delta_; }
 
@@ -183,11 +194,10 @@ class ChangeMask {
   Block TakeDelta() && { return std::move(delta_); }
 
  private:
-  explicit ChangeMask(Block delta, int8_t known_zero = -1)
-      : delta_(std::move(delta)), known_zero_(known_zero) {}
+  ChangeMask(Block delta, size_t encoded_size)
+      : delta_(std::move(delta)), encoded_size_(encoded_size) {}
   Block delta_;
-  /// Tri-state no-op cache: -1 unknown, 0 nonzero, 1 all-zero.
-  mutable int8_t known_zero_ = -1;
+  size_t encoded_size_;
 };
 
 }  // namespace radd

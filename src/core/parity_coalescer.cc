@@ -18,8 +18,12 @@ void ParityCoalescer::Account(const Entry& e, int sign) {
 void ParityCoalescer::Merge(Entry& into, Entry from) {
   Account(into, -1);
   assert(into.delta.size() == from.delta.size());
-  internal::XorBytes(into.delta.data(), from.delta.data(),
-                     into.delta.size());
+  // The merged mask can shrink (runs cancel) or grow (runs union); the
+  // wire cost is whatever the merge actually encodes to, learned in the
+  // XOR pass itself.
+  into.encoded_bytes =
+      internal::XorBytesSized(into.delta.data(), into.delta.data(),
+                              from.delta.data(), into.delta.size());
   // Latest UID wins: formula (1)'s merge leaves the parity UID array
   // exactly where applying the members in order would have left it.
   if (into.uid < from.uid || !into.uid.valid()) into.uid = from.uid;
@@ -27,11 +31,6 @@ void ParityCoalescer::Merge(Entry& into, Entry from) {
   // merged delta is unusable and the receiver must say so.
   if (from.home_epoch < into.home_epoch) into.home_epoch = from.home_epoch;
   for (uint64_t op : from.ops) into.ops.push_back(op);
-  // The merged mask can shrink (runs cancel) or grow (runs union); the
-  // wire cost is whatever the merge actually encodes to.
-  ChangeMask merged = ChangeMask::FromFull(std::move(into.delta));
-  into.encoded_bytes = merged.EncodedSize();
-  into.delta = std::move(merged).TakeDelta();
   Account(into, +1);
 }
 

@@ -1,6 +1,20 @@
 #include "disk/disk.h"
 
+#include "common/crc32c.h"
+
 namespace radd {
+
+namespace {
+
+/// A record's integrity stamp for bytes whose CRC32C is `crc`: never 0,
+/// which marks an untracked record.
+uint32_t Stamp(uint32_t crc) { return crc != 0 ? crc : 1; }
+
+uint32_t StampOf(const Block& data) {
+  return Stamp(Crc32c(data.data(), data.size()));
+}
+
+}  // namespace
 
 void SimDisk::Fail() {
   failed_ = true;
@@ -50,11 +64,11 @@ Result<BlockRecord> SimDisk::Read(BlockNum block) const {
   RADD_RETURN_NOT_OK(CheckReadable(block));
   auto it = blocks_.find(block);
   if (it == blocks_.end()) return BlockRecord(block_size_);
-  // End-to-end integrity: the checksum stamped at write time must match
+  // End-to-end integrity: the CRC32C stamped at write time must match
   // the bytes the medium returns. A mismatch is silent corruption; report
   // it as DataLoss so the RADD layer reconstructs instead of serving rot.
   if (it->second.checksum != 0 &&
-      it->second.checksum != it->second.data.Checksum()) {
+      it->second.checksum != StampOf(it->second.data)) {
     ++corruptions_detected_;
     return Status::DataLoss("block " + std::to_string(block) +
                             " failed checksum (silent corruption)");
@@ -75,7 +89,7 @@ Status SimDisk::Write(BlockNum block, const Block& data, Uid uid) {
   rec.uid = uid;
   rec.logical_uid = Uid();
   rec.spare_for = -1;
-  rec.checksum = rec.data.Checksum();
+  rec.checksum = StampOf(rec.data);
   lost_.erase(block);
   latent_.erase(block);
   return Status::OK();
@@ -89,7 +103,7 @@ Status SimDisk::WriteRecord(BlockNum block, const BlockRecord& record) {
   BlockRecord& rec = GetOrCreate(block);
   rec = record;
   // The disk, not the caller, owns the integrity stamp.
-  rec.checksum = rec.data.Checksum();
+  rec.checksum = StampOf(rec.data);
   lost_.erase(block);
   latent_.erase(block);
   return Status::OK();
@@ -107,18 +121,29 @@ Status SimDisk::ApplyMask(BlockNum block, const ChangeMask& mask, Uid uid,
   }
   BlockRecord& rec = GetOrCreate(block);
   // Applying a delta on top of rotted parity would propagate the rot into
-  // every future reconstruction of this row: verify before XORing.
-  if (rec.checksum != 0 && rec.checksum != rec.data.Checksum()) {
+  // every future reconstruction of this row, so the old stamp is checked
+  // in the same pass that XORs the delta in and stamps the result; on a
+  // mismatch the XOR is undone.
+  uint32_t before = 0;
+  uint32_t after = 0;
+  if (mask.IsNoop()) {
+    before = after = Crc32c(rec.data.data(), rec.data.size());
+  } else {
+    after = Crc32cXorApply(rec.data.data(), mask.delta().data(),
+                           rec.data.size(), &before);
+  }
+  if (rec.checksum != 0 && rec.checksum != Stamp(before)) {
+    internal::XorBytes(rec.data.data(), mask.delta().data(),
+                       rec.data.size());
     ++corruptions_detected_;
     return Status::DataLoss("parity block " + std::to_string(block) +
                             " failed checksum (silent corruption)");
   }
-  RADD_RETURN_NOT_OK(mask.ApplyTo(&rec.data));
   if (rec.uid_array.size() < group_size) rec.uid_array.resize(group_size);
   rec.uid_array[group_position] = uid;
   // The parity block itself also becomes "valid": stamp the triggering UID.
   rec.uid = uid;
-  rec.checksum = rec.data.Checksum();
+  rec.checksum = Stamp(after);
   return Status::OK();
 }
 

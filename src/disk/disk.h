@@ -14,10 +14,12 @@
 //   * latent sector errors — the medium reports an unreadable sector; the
 //     read fails with DataLoss until the block is rewritten;
 //   * silent corruption (bit rot) — the medium returns wrong bytes with no
-//     error. Every write stamps the record with a content checksum and
-//     every read verifies it, so rotted reads are *detected* and surface
-//     as DataLoss (routed to formula-(2) reconstruction by the RADD layer)
-//     instead of being returned to clients.
+//     error. Every write stamps the record with the CRC32C of its bytes
+//     and every read verifies it, so rotted reads are *detected* and
+//     surface as DataLoss (routed to formula-(2) reconstruction by the
+//     RADD layer) instead of being returned to clients. A parity update
+//     verifies the old stamp, XORs the mask in and computes the new stamp
+//     in one pass over the block (common/crc32c.h).
 
 #ifndef RADD_DISK_DISK_H_
 #define RADD_DISK_DISK_H_
@@ -63,10 +65,11 @@ struct BlockRecord {
   /// lets recovery detect double-failure artifacts instead of silently
   /// draining another member's data.
   int32_t spare_for = -1;
-  /// Content checksum stamped by the disk on every write; 0 = untracked
-  /// (never-written blocks). Reads verify it so silent corruption is
-  /// detected instead of served.
-  uint64_t checksum = 0;
+  /// Integrity stamp: the CRC32C of `data`, set by the disk on every write
+  /// and kept nonzero (a CRC of 0 is stamped as 1), because 0 means
+  /// untracked (never-written blocks). Read and ApplyMask verify it so
+  /// silent corruption is detected instead of served or spread.
+  uint32_t checksum = 0;
 
   explicit BlockRecord(size_t block_size) : data(block_size) {}
 };
@@ -101,7 +104,9 @@ class SimDisk {
 
   /// Applies `mask` to the block in place (parity maintenance, formula (1))
   /// and records `uid` at `group_position` of the block's UID array, which
-  /// is grown to `group_size` on first use (paper step W4).
+  /// is grown to `group_size` on first use (paper step W4). Returns
+  /// DataLoss, leaving the block as it was, if the stored bytes fail their
+  /// stamp.
   Status ApplyMask(BlockNum block, const ChangeMask& mask, Uid uid,
                    size_t group_position, size_t group_size);
 
@@ -120,11 +125,11 @@ class SimDisk {
 
   /// Injects silent corruption: flips `bits` pseudo-random bits (derived
   /// from `seed`) in the stored contents of `block` without updating the
-  /// checksum, modelling bit rot the medium does not report. Returns false
+  /// stamp, modelling bit rot the medium does not report. Returns false
   /// if the block is not materialized (nothing to rot).
   Result<bool> CorruptBlock(BlockNum block, uint64_t seed, int bits = 1);
 
-  /// Reads whose checksum verification caught silent corruption.
+  /// Reads and parity updates whose stamp check caught silent corruption.
   uint64_t corruptions_detected() const { return corruptions_detected_; }
 
   /// True if the block holds a valid (nonzero) UID.
@@ -192,7 +197,7 @@ class DiskArray {
   Result<bool> CorruptBlock(BlockNum block, uint64_t seed, int bits = 1);
   bool IsValid(BlockNum block) const;
 
-  /// Checksum-detected corrupt reads summed over all disks.
+  /// Stamp-detected corruptions summed over all disks.
   uint64_t corruptions_detected() const;
 
   /// Blocks on `disk` that are currently lost (need reconstruction).

@@ -5,11 +5,13 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <string>
 #include <vector>
 
 #include "common/block.h"
 #include "common/block_arena.h"
 #include "common/rng.h"
+#include "core/parity_coalescer.h"
 
 namespace radd {
 namespace {
@@ -255,6 +257,127 @@ TEST(BlockKernel, FromFullMaskDetectsNoopLazily) {
   nonzero[255] = 9;
   ChangeMask mask = ChangeMask::FromFull(std::move(nonzero));
   EXPECT_FALSE(mask.IsNoop());
+}
+
+// --- carried encoded size --------------------------------------------------
+//
+// Every mask carries the size learned by the pass that built it; each case
+// checks that size and IsNoop against the byte-serial reference encoder,
+// for masks built by Diff and by FromFull.
+
+void ExpectCarriedSize(const Block& delta, const std::string& what) {
+  const size_t want = ReferenceEncodedSize(delta);
+  Result<ChangeMask> diffed = ChangeMask::Diff(Block(delta.size()), delta);
+  ASSERT_TRUE(diffed.ok());
+  EXPECT_EQ(diffed->EncodedSize(), want) << what;
+  EXPECT_EQ(diffed->IsNoop(), ReferenceIsZero(delta)) << what;
+  const ChangeMask full = ChangeMask::FromFull(delta);
+  EXPECT_EQ(full.EncodedSize(), want) << what;
+  EXPECT_EQ(full.IsNoop(), ReferenceIsZero(delta)) << what;
+}
+
+const size_t kSizedLengths[] = {1,  5,   8,   13,  63,  64,   65,   127,
+                                128, 129, 200, 511, 513, 4095, 4096, 4101};
+
+TEST(CarriedSize, RandomSparseAndDenseMasks) {
+  Rng rng(61);
+  for (int round = 0; round < 400; ++round) {
+    const size_t n = kSizedLengths[static_cast<size_t>(
+        rng.Uniform(sizeof(kSizedLengths) / sizeof(kSizedLengths[0])))];
+    // Density from one changed byte in 256 to every byte.
+    const uint64_t per256 = 1 + rng.Uniform(256);
+    Block delta(n);
+    for (size_t i = 0; i < n; ++i) {
+      if (rng.Uniform(256) < per256) {
+        delta[i] = static_cast<uint8_t>(1 + rng.Uniform(255));
+      }
+    }
+    ExpectCarriedSize(delta, "n=" + std::to_string(n) +
+                                 " per256=" + std::to_string(per256));
+  }
+}
+
+TEST(CarriedSize, GapsOfEightAndNineAtEveryOffset) {
+  // Two changed bytes 8 zeros apart share a run; 9 zeros apart they do
+  // not. Sliding the pair across a 192-byte mask puts the gap inside a
+  // word, across word boundaries and across the 64-byte chunks of the
+  // size pass.
+  for (size_t gap : {size_t{7}, size_t{8}, size_t{9}, size_t{10}}) {
+    for (size_t at = 0; at + gap + 1 < 192; ++at) {
+      Block delta(192);
+      delta[at] = 1;
+      delta[at + gap + 1] = 2;
+      ExpectCarriedSize(delta, "gap=" + std::to_string(gap) +
+                                   " at=" + std::to_string(at));
+    }
+  }
+}
+
+TEST(CarriedSize, RunsStraddlingWordAndChunkBoundaries) {
+  for (size_t len : {size_t{2}, size_t{9}, size_t{17}, size_t{70}}) {
+    for (size_t at = 0; at + len <= 260; at += 3) {
+      Block delta(260);
+      for (size_t i = at; i < at + len; ++i) delta[i] = 0xFF;
+      ExpectCarriedSize(delta, "len=" + std::to_string(len) +
+                                   " at=" + std::to_string(at));
+      // The same run with a hole punched in it, and a second run at the
+      // end of the block.
+      delta[at + len / 2] = 0;
+      delta[259] = 4;
+      ExpectCarriedSize(delta, "holed len=" + std::to_string(len) +
+                                   " at=" + std::to_string(at));
+    }
+  }
+}
+
+TEST(CarriedSize, AllZeroAndAllNonzeroMasks) {
+  for (size_t n : kSizedLengths) {
+    ExpectCarriedSize(Block(n), "zero n=" + std::to_string(n));
+    EXPECT_EQ(ChangeMask::FromFull(Block(n)).EncodedSize(),
+              ChangeMask::kHeaderBytes);
+    Block full(n);
+    for (size_t i = 0; i < n; ++i) full[i] = static_cast<uint8_t>(i | 1);
+    ExpectCarriedSize(full, "full n=" + std::to_string(n));
+    EXPECT_EQ(ChangeMask::FromFull(full).EncodedSize(), 16 + n);
+  }
+  ExpectCarriedSize(Block(0), "empty");
+}
+
+TEST(CarriedSize, CoalescerMergesCarryTheMergedSize) {
+  Rng rng(67);
+  Block base = RandomBlock(4096, &rng);
+  auto sparse_edit = [&](const Block& from) {
+    Block to = from;
+    for (int k = 0; k < 3; ++k) {
+      const size_t at = static_cast<size_t>(rng.Uniform(4000));
+      const size_t len = 1 + static_cast<size_t>(rng.Uniform(90));
+      for (size_t i = at; i < at + len; ++i) to[i] ^= 0x3C;
+    }
+    return to;
+  };
+  const Block v1 = sparse_edit(base);
+  const Block v2 = sparse_edit(v1);
+  const Block v3 = sparse_edit(v2);
+
+  ParityCoalescer c;
+  c.Add(7, 1, ChangeMask::Diff(base, v1).value(), Uid::Make(1, 1), 0, 1);
+  c.Add(7, 1, ChangeMask::Diff(v1, v2).value(), Uid::Make(1, 2), 0, 2);
+  c.Add(7, 1, ChangeMask::Diff(v2, v3).value(), Uid::Make(1, 3), 0, 3);
+  // A second key whose updates cancel: v1 then back to base.
+  c.Add(8, 1, ChangeMask::Diff(base, v1).value(), Uid::Make(1, 4), 0, 4);
+  c.Add(8, 1, ChangeMask::Diff(v1, base).value(), Uid::Make(1, 5), 0, 5);
+  ASSERT_EQ(c.entry_count(), 2u);
+
+  const size_t want_merged =
+      ReferenceEncodedSize(ChangeMask::Diff(base, v3).value().delta());
+  EXPECT_EQ(c.staged_bytes(), want_merged + ChangeMask::kHeaderBytes);
+  std::vector<ParityCoalescer::Entry> taken = c.TakeEligible({});
+  ASSERT_EQ(taken.size(), 2u);
+  EXPECT_EQ(taken[0].delta, ChangeMask::Diff(base, v3).value().delta());
+  EXPECT_EQ(taken[0].encoded_bytes, want_merged);
+  EXPECT_TRUE(ReferenceIsZero(taken[1].delta));
+  EXPECT_EQ(taken[1].encoded_bytes, ChangeMask::kHeaderBytes);
+  EXPECT_TRUE(ChangeMask::FromFull(taken[1].delta).IsNoop());
 }
 
 // --- checksum --------------------------------------------------------------

@@ -321,6 +321,79 @@ TEST(SimDisk, SilentCorruptionIsCaughtByChecksum) {
   EXPECT_EQ(r->data, Pat(4));
 }
 
+TEST(SimDisk, RotFailsReadPeekAndApplyMaskWithOneCountEach) {
+  DiskArray disks(1, 4, 256);
+  PlainStore store(&disks);
+  ASSERT_TRUE(store.Write(1, Pat(5), Uid::Make(1, 1)).ok());
+  ASSERT_TRUE(disks.CorruptBlock(1, /*seed=*/9).value());
+  EXPECT_TRUE(store.Read(1).status().IsDataLoss());
+  EXPECT_EQ(disks.corruptions_detected(), 1u);
+  EXPECT_TRUE(store.Peek(1).status().IsDataLoss());
+  EXPECT_EQ(disks.corruptions_detected(), 2u);
+  // A parity update onto rotted bytes is refused and leaves them as they
+  // were, so the rot stays detectable rather than being folded in.
+  Block changed = Pat(5);
+  changed[7] ^= 0x5A;
+  ChangeMask mask = ChangeMask::Diff(Pat(5), changed).value();
+  EXPECT_TRUE(
+      store.ApplyMask(1, mask, Uid::Make(2, 1), 0, 3).IsDataLoss());
+  EXPECT_EQ(disks.corruptions_detected(), 3u);
+  EXPECT_TRUE(store.Read(1).status().IsDataLoss());
+  EXPECT_EQ(disks.corruptions_detected(), 4u);
+  // A no-op mask is checked too.
+  ChangeMask noop = ChangeMask::Diff(Pat(5), Pat(5)).value();
+  ASSERT_TRUE(noop.IsNoop());
+  EXPECT_TRUE(
+      store.ApplyMask(1, noop, Uid::Make(2, 2), 0, 3).IsDataLoss());
+  EXPECT_EQ(disks.corruptions_detected(), 5u);
+}
+
+TEST(SimDisk, WrittenZeroBlockIsStamped) {
+  SimDisk disk(4, 256);
+  ASSERT_TRUE(disk.Write(0, Block(256), Uid::Make(1, 1)).ok());
+  Result<BlockRecord> r = disk.Read(0);
+  ASSERT_TRUE(r.ok());
+  EXPECT_NE(r->checksum, 0u);  // tracked, so rot of zeros is caught
+  ASSERT_TRUE(disk.CorruptBlock(0, /*seed=*/3).value());
+  EXPECT_TRUE(disk.Read(0).status().IsDataLoss());
+  EXPECT_EQ(disk.corruptions_detected(), 1u);
+}
+
+TEST(SimDisk, ApplyMaskRestampsInTheSamePass) {
+  SimDisk disk(4, 4096);
+  ASSERT_TRUE(disk.Write(2, Pat(6, 4096), Uid::Make(1, 1)).ok());
+  Block changed = Pat(6, 4096);
+  for (size_t i = 100; i < 300; ++i) changed[i] ^= 0xC3;
+  ChangeMask mask = ChangeMask::Diff(Pat(6, 4096), changed).value();
+  ASSERT_TRUE(disk.ApplyMask(2, mask, Uid::Make(1, 2), 1, 3).ok());
+  // The new stamp matches the new bytes: reads verify and return them.
+  Result<BlockRecord> r = disk.Read(2);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->data, changed);
+  // Rot after the update is still caught by the refreshed stamp.
+  ASSERT_TRUE(disk.CorruptBlock(2, /*seed=*/11).value());
+  EXPECT_TRUE(disk.Read(2).status().IsDataLoss());
+  EXPECT_EQ(disk.corruptions_detected(), 1u);
+}
+
+TEST(SimDisk, RewriteClearsRot) {
+  SimDisk disk(4, 256);
+  ASSERT_TRUE(disk.Write(3, Pat(7), Uid::Make(1, 1)).ok());
+  ASSERT_TRUE(disk.CorruptBlock(3, /*seed=*/1, /*bits=*/8).value());
+  EXPECT_TRUE(disk.Read(3).status().IsDataLoss());
+  // WriteRecord restamps whatever stamp the caller's record carried.
+  BlockRecord rec(256);
+  rec.data = Pat(8);
+  rec.uid = Uid::Make(1, 2);
+  rec.checksum = 12345;
+  ASSERT_TRUE(disk.WriteRecord(3, rec).ok());
+  Result<BlockRecord> r = disk.Read(3);
+  ASSERT_TRUE(r.ok());
+  EXPECT_EQ(r->data, Pat(8));
+  EXPECT_NE(r->checksum, 12345u);
+  EXPECT_EQ(disk.corruptions_detected(), 1u);
+}
+
 TEST(SimDisk, CorruptingUnmaterializedBlockIsANoOp) {
   SimDisk disk(4, 256);
   Result<bool> rotted = disk.CorruptBlock(0, /*seed=*/7);

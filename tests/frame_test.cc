@@ -444,6 +444,193 @@ TEST(FrameCodec, FuzzMutatedValidFrames) {
 }
 
 // ---------------------------------------------------------------------------
+// CRC32C kernels: the hardware kernel and the table fallback agree with the
+// standard and with each other on every shape the codec feeds them.
+// ---------------------------------------------------------------------------
+
+/// Restamps a damaged frame's CRC the way the codec computes it, like an
+/// attacker who can compute checksums.
+void Restamp(std::vector<uint8_t>* frame) {
+  const uint32_t len =
+      static_cast<uint32_t>(frame->size() - kFrameHeaderBytes);
+  const uint32_t crc = Crc32cExtend(Crc32c(frame->data(), 28),
+                                    frame->data() + kFrameHeaderBytes, len);
+  for (int i = 0; i < 4; ++i) {
+    (*frame)[28 + static_cast<size_t>(i)] =
+        static_cast<uint8_t>(crc >> (8 * i));
+  }
+}
+
+/// The damage shapes of the malformed-frame tests above, plus mutated
+/// frames of every type.
+std::vector<std::vector<uint8_t>> MalformedCorpus() {
+  std::vector<std::vector<uint8_t>> corpus;
+  const std::vector<uint8_t> batch =
+      EncodeFrame(MakeMessage(MessageType::kParityBatch));
+  for (size_t n = 0; n < batch.size(); ++n) {
+    corpus.emplace_back(batch.begin(), batch.begin() + static_cast<long>(n));
+  }
+  const std::vector<uint8_t> read =
+      EncodeFrame(MakeMessage(MessageType::kReadReq));
+  for (const size_t offset : {0u, 4u, 5u, 24u, 29u}) {
+    corpus.push_back(read);
+    corpus.back()[offset] ^= 0xFF;
+  }
+  const std::vector<uint8_t> spare =
+      EncodeFrame(MakeMessage(MessageType::kSpareWriteReq), 3);
+  for (const size_t offset : {size_t{6}, size_t{7}, size_t{8}, size_t{12},
+                              size_t{16}, size_t{23},
+                              kFrameHeaderBytes + 3}) {
+    corpus.push_back(spare);
+    corpus.back()[offset] ^= 0x10;
+  }
+  Message reply;
+  reply.type = MessageType::kWriteReply;
+  reply.payload = WriteReply{1, Status::OK()};
+  std::vector<uint8_t> short_payload = EncodeFrame(reply);
+  short_payload.resize(kFrameHeaderBytes + 4);
+  Restamp(&short_payload);
+  corpus.push_back(short_payload);
+  std::vector<uint8_t> trailing = EncodeFrame(reply);
+  trailing.push_back(0xEE);
+  Restamp(&trailing);
+  corpus.push_back(trailing);
+  Rng rng(0xF0223);
+  for (size_t t = 0; t < kNumMessageTypes; ++t) {
+    const MessageType type = static_cast<MessageType>(t);
+    if (IsReservedMessageType(type)) continue;
+    for (int k = 0; k < 8; ++k) {
+      std::vector<uint8_t> frame = EncodeFrame(MakeMessage(type), 1);
+      const uint64_t bit = rng.Uniform(frame.size() * 8);
+      frame[bit / 8] ^= static_cast<uint8_t>(1u << (bit % 8));
+      corpus.push_back(std::move(frame));
+    }
+  }
+  return corpus;
+}
+
+TEST(Crc32cKernels, Rfc3720CheckValues) {
+  const uint8_t digits[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  EXPECT_EQ(Crc32c(digits, sizeof(digits)), 0xE3069283u);
+  EXPECT_EQ(internal::Crc32cExtendTable(0, digits, sizeof(digits)),
+            0xE3069283u);
+  // RFC 3720 B.4: 32 zero bytes, 32 0xFF bytes, bytes 0..31.
+  std::vector<uint8_t> zeros(32, 0), ones(32, 0xFF), ramp(32);
+  for (size_t i = 0; i < ramp.size(); ++i) ramp[i] = static_cast<uint8_t>(i);
+  EXPECT_EQ(Crc32c(zeros.data(), zeros.size()), 0x8A9136AAu);
+  EXPECT_EQ(Crc32c(ones.data(), ones.size()), 0x62A8AB43u);
+  EXPECT_EQ(Crc32c(ramp.data(), ramp.size()), 0x46DD794Eu);
+  EXPECT_EQ(Crc32c(nullptr, 0), 0u);
+}
+
+TEST(Crc32cKernels, HardwareMatchesTableAtEveryLengthAndAlignment) {
+  if (!internal::HardwareCrc32c()) GTEST_SKIP() << "no SSE4.2 + PCLMUL";
+  Rng rng(0xC5C);
+  std::vector<uint8_t> buf(8192 + 8);
+  for (auto& b : buf) b = static_cast<uint8_t>(rng.Next());
+  for (size_t align = 0; align < 8; ++align) {
+    const uint8_t* p = buf.data() + align;
+    // The table CRC of each prefix, one byte further each step.
+    uint32_t table = internal::Crc32cExtendTable(0, p, 0);
+    for (size_t n = 0; n <= 8192; ++n) {
+      if (n > 0) table = internal::Crc32cExtendTable(table, p + n - 1, 1);
+      ASSERT_EQ(internal::Crc32cExtendHardware(0, p, n), table)
+          << "n=" << n << " align=" << align;
+    }
+    EXPECT_EQ(internal::Crc32cExtendTable(0, p, 8192), table);
+  }
+}
+
+TEST(Crc32cKernels, EverySplitPointOfA4KiBFrame) {
+  Message m = MakeMessage(MessageType::kWriteReq);
+  WriteReq& req = std::get<WriteReq>(m.payload);
+  req.data = Block(4096);
+  req.data.FillPattern(17);
+  const std::vector<uint8_t> frame = EncodeFrame(m);
+  ASSERT_GT(frame.size(), 4096u);
+  const uint8_t* p = frame.data();
+  const size_t n = frame.size();
+  const uint32_t whole = internal::Crc32cExtendTable(0, p, n);
+  EXPECT_EQ(Crc32c(p, n), whole);
+  const bool hw = internal::HardwareCrc32c();
+  for (size_t split = 0; split <= n; ++split) {
+    const uint32_t head = internal::Crc32cExtendTable(0, p, split);
+    ASSERT_EQ(internal::Crc32cExtendTable(head, p + split, n - split), whole)
+        << split;
+    ASSERT_EQ(Crc32cExtend(Crc32c(p, split), p + split, n - split), whole)
+        << split;
+    if (hw) {
+      ASSERT_EQ(internal::Crc32cExtendHardware(
+                    internal::Crc32cExtendHardware(0, p, split), p + split,
+                    n - split),
+                whole)
+          << split;
+    }
+  }
+}
+
+TEST(Crc32cKernels, MalformedCorpusHashesAlikeAndIsRejected) {
+  const bool hw = internal::HardwareCrc32c();
+  for (const std::vector<uint8_t>& frame : MalformedCorpus()) {
+    EXPECT_NE(DecodeFrame(frame.data(), frame.size()).error, FrameError::kOk);
+    const uint32_t table =
+        internal::Crc32cExtendTable(0, frame.data(), frame.size());
+    EXPECT_EQ(Crc32c(frame.data(), frame.size()), table);
+    if (frame.size() < kFrameHeaderBytes) continue;
+    // The codec's own split: header up to the CRC field, then payload.
+    const size_t payload = frame.size() - kFrameHeaderBytes;
+    const uint32_t head = internal::Crc32cExtendTable(0, frame.data(), 28);
+    const uint32_t want = internal::Crc32cExtendTable(
+        head, frame.data() + kFrameHeaderBytes, payload);
+    EXPECT_EQ(Crc32cExtend(Crc32c(frame.data(), 28),
+                           frame.data() + kFrameHeaderBytes, payload),
+              want);
+    if (hw) {
+      EXPECT_EQ(internal::Crc32cExtendHardware(0, frame.data(), frame.size()),
+                table);
+      EXPECT_EQ(internal::Crc32cExtendHardware(
+                    internal::Crc32cExtendHardware(0, frame.data(), 28),
+                    frame.data() + kFrameHeaderBytes, payload),
+                want);
+    }
+  }
+}
+
+TEST(Crc32cKernels, FusedXorApplyMatchesSeparatePasses) {
+  Rng rng(0xC5D);
+  std::vector<uint8_t> data(8192 + 8), delta(8192 + 8);
+  for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
+  for (auto& b : delta) b = static_cast<uint8_t>(rng.Next());
+  const bool hw = internal::HardwareCrc32c();
+  for (size_t n = 0; n <= 8192; n += (n < 200 ? 1 : 61)) {
+    const size_t align = n % 8;
+    std::vector<uint8_t> want = data;
+    for (size_t i = 0; i < n; ++i) want[align + i] ^= delta[align + i];
+    const uint32_t want_before = Crc32c(data.data() + align, n);
+    const uint32_t want_after = Crc32c(want.data() + align, n);
+
+    std::vector<uint8_t> got = data;
+    uint32_t before = 0;
+    EXPECT_EQ(internal::Crc32cXorApplyTable(got.data() + align,
+                                            delta.data() + align, n, &before),
+              want_after)
+        << n;
+    EXPECT_EQ(before, want_before) << n;
+    EXPECT_EQ(got, want) << n;
+    if (hw) {
+      got = data;
+      before = 0;
+      EXPECT_EQ(internal::Crc32cXorApplyHardware(
+                    got.data() + align, delta.data() + align, n, &before),
+                want_after)
+          << n;
+      EXPECT_EQ(before, want_before) << n;
+      EXPECT_EQ(got, want) << n;
+    }
+  }
+}
+
+// ---------------------------------------------------------------------------
 // FrameCounters bookkeeping.
 // ---------------------------------------------------------------------------
 

@@ -44,6 +44,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <map>
 #include <string>
 #include <vector>
@@ -55,6 +56,22 @@ namespace {
 
 uint64_t ParseU64(const char* s) {
   return static_cast<uint64_t>(std::strtoull(s, nullptr, 10));
+}
+
+/// Runs one schedule. A schedule that throws is a failing seed whose
+/// summary carries the exception text, not the end of the whole run.
+radd::ChaosReport RunSeed(const radd::ChaosConfig& config, uint64_t seed) {
+  try {
+    radd::ChaosHarness harness(config);
+    return harness.Run(seed);
+  } catch (const std::exception& e) {
+    radd::ChaosReport r;
+    r.seed = seed;
+    r.groups = config.groups;
+    r.parities = config.parities;
+    r.failure = std::string("uncaught exception: ") + e.what();
+    return r;
+  }
 }
 
 }  // namespace
@@ -180,8 +197,7 @@ int main(int argc, char** argv) {
   if (!have_single && seeds == 0) seeds = 200;
 
   if (have_single) {
-    radd::ChaosHarness harness(config);
-    radd::ChaosReport r = harness.Run(single);
+    radd::ChaosReport r = RunSeed(config, single);
     std::printf("%s\n", r.Summary().c_str());
     if (r.frame_codec && r.frames_rejected > 0) {
       std::printf("CODEC FAIL: %llu frames rejected (codec must be "
@@ -213,9 +229,8 @@ int main(int argc, char** argv) {
   std::vector<radd::ChaosReport> reports(seeds);
   radd::ParallelRunner::Map(threads, static_cast<int>(seeds),
                             [&](int i) {
-                              radd::ChaosHarness harness(config);
-                              reports[static_cast<size_t>(i)] =
-                                  harness.Run(start + static_cast<uint64_t>(i));
+                              reports[static_cast<size_t>(i)] = RunSeed(
+                                  config, start + static_cast<uint64_t>(i));
                             });
 
   uint64_t failures = 0;
