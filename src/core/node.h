@@ -131,7 +131,7 @@ class RaddNodeSystem {
   /// message through the packed codec before re-entering the simulated
   /// network — semantics identical when the codec is lossless, which the
   /// differential chaos tests assert. nullptr (the default) restores the
-  /// direct send path, bit-identical to the pre-transport protocol.
+  /// direct send path.
   /// Heartbeat traffic is the detector's own and stays on the Network.
   void SetTransport(Transport* transport) { transport_ = transport; }
 

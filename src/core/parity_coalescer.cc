@@ -35,7 +35,7 @@ void ParityCoalescer::Merge(Entry& into, Entry from) {
 }
 
 void ParityCoalescer::Add(BlockNum row, int position, ChangeMask mask,
-                          Uid uid, uint64_t home_epoch, uint64_t op) {
+                          Uid uid, uint64_t home_epoch, uint64_t waiter) {
   Entry e;
   e.row = row;
   e.position = position;
@@ -43,7 +43,7 @@ void ParityCoalescer::Add(BlockNum row, int position, ChangeMask mask,
   e.home_epoch = home_epoch;
   e.encoded_bytes = mask.EncodedSize();
   e.delta = std::move(mask).TakeDelta();
-  e.ops.push_back(op);
+  e.ops.push_back(waiter);
   AddEntry(std::move(e));
 }
 

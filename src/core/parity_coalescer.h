@@ -67,16 +67,16 @@ class ParityCoalescer {
     /// poisons the whole merge.
     uint64_t home_epoch = 0;
     size_t encoded_bytes = 0; ///< wire cost of the merged mask
-    std::vector<uint64_t> ops;  ///< client ops awaiting this entry's ack
+    std::vector<uint64_t> ops;  ///< parity waiters (one per write) to ack
 
     Key key() const { return {row, position}; }
   };
 
-  /// Stages one parity update for client op `op`. Takes the mask's delta
-  /// block by value (movable); merges into the existing entry when the
-  /// (row, position) key is already staged.
+  /// Stages one parity update for parity waiter `waiter`. Takes the
+  /// mask's delta block by value (movable); merges into the existing entry
+  /// when the (row, position) key is already staged.
   void Add(BlockNum row, int position, ChangeMask mask, Uid uid,
-           uint64_t home_epoch, uint64_t op);
+           uint64_t home_epoch, uint64_t waiter);
 
   /// Re-stages a previously flushed entry (retry of a nacked batch
   /// entry), merging if its key was staged again in the meantime.

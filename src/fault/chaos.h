@@ -42,15 +42,13 @@ struct ChaosConfig {
   /// members; combine with FaultPlanConfig::double_faults for schedules
   /// that kill two sites at once.
   int parities = 1;
-  /// RADD groups in the volume (§4 sharding). 1 = the classic single-group
-  /// harness (bit-identical summaries to the pre-volume harness); N > 1
+  /// RADD groups in the volume (§4 sharding). 1 = a single group; N > 1
   /// spreads N*(G+2) logical drives round-robin over G+1+N sites, so every
   /// fault lands on a site serving several groups at once.
   int groups = 1;
-  /// Placement of every group's rows. kRotated (default) is the classic
-  /// harness, byte-identical to pre-placement builds; kDeclustered
-  /// spreads each group's stripes over `sites` members via the seeded
-  /// permutation tables (layout/placement.h).
+  /// Placement of every group's rows. kRotated (default) is the paper's
+  /// Fig. 1 layout; kDeclustered spreads each group's stripes over `sites`
+  /// members via the seeded permutation tables (layout/placement.h).
   PlacementKind layout = PlacementKind::kRotated;
   /// Declustered only: cluster width C (members per group). 0 = the
   /// minimum, G + 1 + parities.
@@ -143,8 +141,8 @@ struct ChaosReport {
   std::map<std::string, uint64_t> injected_by_kind;
   std::map<std::string, uint64_t> survived_by_kind;
 
-  /// Placement metrics (defaults when the layout is rotated, so rotated
-  /// Summaries stay byte-identical to pre-placement builds).
+  /// Placement metrics (defaults when the layout is rotated; Summary
+  /// prints them only for declustered runs).
   bool declustered = false;
   int sites = 0;  ///< cluster width C of each declustered group
   /// Expansion-mode metrics (expand only).

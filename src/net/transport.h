@@ -7,20 +7,17 @@
 // destination site's handler by whatever means it implements. Two
 // backends exist:
 //
-//   * DesTransport (here): the existing discrete-event Network, unchanged
-//     in semantics — but every message now rides the packed frame codec
-//     (net/frame.h): encode to bytes, decode back, deliver the decoded
-//     message. A lossless codec makes this byte-shuffling invisible
-//     (chaos schedules produce bit-identical reports with it on or off,
-//     which is exactly the differential test that proves the codec); any
-//     codec defect surfaces as a counted reject instead of silent
-//     corruption.
+//   * DesTransport (here): the discrete-event Network, with every message
+//     riding the packed frame codec (net/frame.h): encode to bytes, decode
+//     back, deliver the decoded message. A lossless codec makes this
+//     invisible, which the codec differential chaos test checks; any codec
+//     defect surfaces as a counted reject instead of silent corruption.
 //
 //   * SocketTransport (net/socket_transport.h): real TCP over loopback,
 //     sites as threads. See that header for the robustness rules.
 //
 // RaddNodeSystem::SetTransport installs one; without it the node sends
-// straight to the Network as before (zero overhead, bit-identical).
+// straight to the Network.
 
 #ifndef RADD_NET_TRANSPORT_H_
 #define RADD_NET_TRANSPORT_H_

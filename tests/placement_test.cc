@@ -242,6 +242,23 @@ TEST_P(PlacementPropertyTest, HonorsPlacementContract) {
   CheckHostIsOwner(*map, c.rows);
 }
 
+TEST_P(PlacementPropertyTest, ParityLegsAreTheRowsParityRoles) {
+  // The paper's XOR parity is the one-leg case of P+Q: LegsOf lists P,
+  // then Q in a dual map, and nothing else.
+  std::shared_ptr<PlacementMap> map = Make();
+  const MapCase& c = GetParam();
+  for (BlockNum row = 0; row < map->NumRows(c.rows); ++row) {
+    const ParityLegs legs = map->LegsOf(row);
+    ASSERT_EQ(legs.count, c.parities) << "row " << row;
+    EXPECT_EQ(legs[0], map->ParitySite(row));
+    EXPECT_EQ(map->RoleOf(legs[0], row), BlockRole::kParity);
+    if (c.parities == 2) {
+      EXPECT_EQ(legs[1], map->QParitySite(row));
+      EXPECT_EQ(map->RoleOf(legs[1], row), BlockRole::kParityQ);
+    }
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(
     AllMaps, PlacementPropertyTest,
     ::testing::Values(
