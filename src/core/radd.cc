@@ -441,6 +441,9 @@ Result<RaddGroup::Reconstructed> RaddGroup::ReconstructDual(SiteId client,
   const std::vector<SiteId> data_members = map_->DataSites(row);
   assert(map_->RoleOf(static_cast<SiteId>(home), row) == BlockRole::kData);
 
+  // Set once a P-only decode fails validation: P may lag a member that Q
+  // holds (a torn pair), so the next attempt decodes through Q.
+  bool p_disagreed = false;
   for (int attempt = 0; attempt < config_.max_reconstruct_attempts;
        ++attempt) {
     // A parity has decode authority only when its site is up: a recovering
@@ -488,7 +491,7 @@ Result<RaddGroup::Reconstructed> RaddGroup::ReconstructDual(SiteId client,
     bool use_p = false;
     bool use_q = false;
     if (lost_dm < 0) {
-      if (p_ok) {
+      if (p_ok && !(p_disagreed && q_ok)) {
         use_p = true;  // classic formula (2); Q not needed
       } else if (q_ok) {
         use_q = true;  // D_home = inv(g^home) * Sq
@@ -576,6 +579,7 @@ Result<RaddGroup::Reconstructed> RaddGroup::ReconstructDual(SiteId client,
     }
     if (!consistent) {
       stats_.Add("radd.uid_retry");
+      if (use_p && !use_q) p_disagreed = true;
       continue;  // "the read was not consistent and must be retried"
     }
 
@@ -973,7 +977,15 @@ Status RaddGroup::RecoverRow(int home, BlockNum row, OpCounts* counts) {
       // rebuilt from the parity before an in-flight update landed looks
       // readable but is one write behind (§3.3).
       Result<BlockRecord> lrec = site->store()->Peek(phys);
-      if (lrec.ok() && !ParityEntrySupersedes(home, row, lrec->uid)) break;
+      if (lrec.ok() && !ParityEntrySupersedes(home, row, lrec->uid)) {
+        // A copy newer than a leg (the home crashed before flushing its
+        // delta) rolls the leg forward from the data. When a second
+        // erasure blocks that, the copy rolls back to what the legs
+        // encode instead: a leg with authority acknowledges only what it
+        // holds, so the copy's extra write was never acknowledged.
+        Status st = ReconcileParityLegs(home, row, lrec->uid, counts);
+        if (!st.IsBlocked()) return st;
+      }
       if (!lrec.ok() && !lrec.status().IsDataLoss()) return lrec.status();
       if (lrec.ok()) stats_.Add("radd.recovery_uid_reconciled");
       Result<Reconstructed> recon = Reconstruct(self, home, row, counts);
@@ -1080,23 +1092,22 @@ Status RaddGroup::RecoverRow(int home, BlockNum row, OpCounts* counts) {
       break;
     }
   }
-  if (role == BlockRole::kData && map_->dual_parity()) {
-    return ReconcileParityLegs(home, row, counts);
+  if (role == BlockRole::kData) {
+    Result<BlockRecord> lrec = site->store()->Peek(phys);
+    if (!lrec.ok()) return lrec.status();
+    return ReconcileParityLegs(home, row, lrec->uid, counts);
   }
   return Status::OK();
 }
 
-Status RaddGroup::ReconcileParityLegs(int home, BlockNum row,
+Status RaddGroup::ReconcileParityLegs(int home, BlockNum row, Uid copy,
                                       OpCounts* counts) {
-  if (!ParityLegsTorn(home, row)) return Status::OK();
-  Result<BlockRecord> lrec = SiteOf(home)->store()->Peek(Phys(home, row));
-  if (!lrec.ok()) return lrec.status();
-  for (const bool q_role : {false, true}) {
-    const int pm = static_cast<int>(q_role ? map_->QParitySite(row)
-                                           : map_->ParitySite(row));
-    if (ParityEntry(pm, home, row) == lrec->uid) continue;
-    stats_.Add("radd.recovery_torn_leg_rebuilt");
-    RADD_RETURN_NOT_OK(RebuildParityRow(pm, row, counts, q_role));
+  const ParityLegs legs = map_->LegsOf(row);
+  for (int leg = 0; leg < legs.count; ++leg) {
+    const int pm = static_cast<int>(legs[leg]);
+    if (!ParityLegLags(pm, home, row, copy)) continue;
+    stats_.Add("radd.recovery_lagging_leg_rebuilt");
+    RADD_RETURN_NOT_OK(RebuildParityRow(pm, row, counts, /*q_role=*/leg == 1));
   }
   return Status::OK();
 }
@@ -1211,13 +1222,20 @@ std::optional<Uid> RaddGroup::ParityEntry(int pm, int home,
   return pos < prec->uid_array.size() ? prec->uid_array[pos] : Uid();
 }
 
-bool RaddGroup::ParityLegsTorn(int home, BlockNum row) const {
-  if (!map_->dual_parity()) return false;
-  const std::optional<Uid> p =
-      ParityEntry(static_cast<int>(map_->ParitySite(row)), home, row);
-  const std::optional<Uid> q =
-      ParityEntry(static_cast<int>(map_->QParitySite(row)), home, row);
-  return p && q && *p != *q;
+bool RaddGroup::ParityLegLags(int pm, int home, BlockNum row,
+                              Uid local) const {
+  const std::optional<Uid> entry = ParityEntry(pm, home, row);
+  return entry && *entry != local;
+}
+
+bool RaddGroup::ParityLagsCopy(int home, BlockNum row, Uid local) const {
+  const ParityLegs legs = map_->LegsOf(row);
+  for (int leg = 0; leg < legs.count; ++leg) {
+    if (ParityLegLags(static_cast<int>(legs[leg]), home, row, local)) {
+      return true;
+    }
+  }
+  return false;
 }
 
 bool RaddGroup::ParityMemberSupersedes(int pm, int home, BlockNum row,
@@ -1231,8 +1249,8 @@ bool RaddGroup::ParityMemberSupersedes(int pm, int home, BlockNum row,
   if (!local.valid()) return true;
   if (entry->site() == local.site()) {
     // Same generator: sequences order the writes. A local copy newer than
-    // the entry saw an update the parity missed while down — keep it; the
-    // parity's own recovery rebuilds its row from the data.
+    // the entry holds an update the parity missed — keep it; the parity
+    // is rebuilt from the data (its own recovery, or ReconcileParityLegs).
     return entry->sequence() > local.sequence();
   }
   // Cross-site disagreement: the parity accepted a write (e.g. a degraded
@@ -1268,8 +1286,7 @@ Result<BlockNum> RaddGroup::FirstUnrecoveredRow(int home,
     if (!lrec.ok() && lrec.status().IsDataLoss()) return row;
     if (lrec.ok() &&
         map_->RoleOf(static_cast<SiteId>(home), row) == BlockRole::kData &&
-        (ParityEntrySupersedes(home, row, lrec->uid) ||
-         ParityLegsTorn(home, row))) {
+        ParityLagsCopy(home, row, lrec->uid)) {
       return row;
     }
   }

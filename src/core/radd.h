@@ -269,16 +269,21 @@ class RaddGroup {
   /// Parity member `pm`'s UID-array entry for `home` in `row`; nullopt
   /// when the parity has no authority (site not up, block unreadable).
   std::optional<Uid> ParityEntry(int pm, int home, BlockNum row) const;
-  /// Dual parity: true when P and Q both have authority and their arrays
-  /// name different writes for `home` — a torn pair. A write whose legs
+  /// True when parity member `pm` has authority and its array names a
+  /// write for `home` other than `local`, the UID of `home`'s recovered
+  /// copy: the leg missed a change the copy holds. A write whose legs
   /// split (one parity applied its delta, the other refused it as stale
-  /// after the home's epoch moved) fails, and its retry diffs against the
-  /// recovered copy, so the lagging parity would never see the missed
-  /// delta while its array named the retry's UID.
-  bool ParityLegsTorn(int home, BlockNum row) const;
-  /// Rebuilds, from the data as it now stands, each parity of a torn pair
-  /// whose entry for `home` does not name `home`'s recovered copy.
-  Status ReconcileParityLegs(int home, BlockNum row, OpCounts* counts);
+  /// after the home's epoch moved), a home that crashed before flushing
+  /// its delta, and a spare drained while its delta was in flight all
+  /// leave such a copy; each one's retry diffs against the copy, so the
+  /// lagging leg would never see the missed change.
+  bool ParityLegLags(int pm, int home, BlockNum row, Uid local) const;
+  /// ParityLegLags over the row's parity legs (P, and Q under P+Q).
+  bool ParityLagsCopy(int home, BlockNum row, Uid local) const;
+  /// Rebuilds, from the data as it now stands, each parity leg whose
+  /// entry for `home` does not name `copy`, the UID of `home`'s value.
+  Status ReconcileParityLegs(int home, BlockNum row, Uid copy,
+                             OpCounts* counts);
 
   /// §7.2 spare thinning: whether `row` has a spare block at all.
   bool SpareExists(BlockNum row) const;
