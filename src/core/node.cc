@@ -20,11 +20,8 @@ struct RaddNodeSystem::Node {
   SiteId self;
   LockManager locks;
 
-  // Pending server-side flows that needed a lock.
-  struct Waiting {
-    std::function<void()> resume;
-  };
-  std::map<TxnId, Waiting> waiting;
+  // Pending server-side flows that needed a lock, by holder id.
+  std::map<TxnId, std::function<void(TxnId)>> waiting;
 
   // Client operations issued from this site. Living in the Node keeps
   // them confined to the site's simulator shard (every reply and timer
@@ -90,13 +87,13 @@ struct RaddNodeSystem::Node {
     return Status::StaleEpoch(what);
   }
 
-  /// Node-unique ids for this node's parity waiters and reconstruction
-  /// flows. One client op can run several flows (a read retry, a spare
-  /// write's per-leg decodes and their fallback), so no flow is keyed by
-  /// op: a finished flow's straggler reply names an id nobody waits on any
-  /// more. Per node, so ids stay deterministic under the sharded engine;
-  /// never reset by a crash, so a pre-crash straggler cannot match a flow
-  /// started after the restart.
+  /// Node-unique ids for this node's parity waiters, reconstruction flows
+  /// and lock holders (NewHolder). One client op can run several flows (a
+  /// read retry, a spare write's per-leg decodes and their fallback), so
+  /// no flow is keyed by op: a finished flow's straggler reply names an id
+  /// nobody waits on any more. Per node, so ids stay deterministic under
+  /// the sharded engine; never reset by a crash, so a pre-crash straggler
+  /// cannot match a flow started after the restart.
   uint64_t next_flow_id = 1;
   uint64_t NewFlowId() { return next_flow_id++; }
 
@@ -138,29 +135,52 @@ struct RaddNodeSystem::Node {
     disk.Submit(cls, kind, addr, units, disk_slow, std::move(fn));
   }
 
-  /// Lock ids: inverted op ids so later ops always wait (single-block
-  /// operations cannot deadlock; FIFO queueing is all we need).
-  static TxnId LockId(uint64_t op) { return ~op; }
-
-  void WithLock(uint64_t op, BlockNum block, LockMode mode,
-                std::function<void()> body) {
-    LockKey key{self, block};
-    LockResult r = locks.Acquire(LockId(op), key, mode);
-    if (r == LockResult::kGranted) {
-      body();
-      return;
-    }
-    sys->stats_.Add("node.lock_waits");
-    waiting[LockId(op)] = Waiting{std::move(body)};
+  /// Lock holder ids. Every lock-taking flow gets its own id, so two flows
+  /// of one client op (a spare write mid-decode and the recovering home's
+  /// take of that spare, or a request and its retransmission) queue like
+  /// any other pair instead of sharing one hold. The high bits are the
+  /// inverted op id: a later op is the older wait-die transaction, so it
+  /// waits, and single-block flows cannot deadlock. The low bits, from
+  /// NewFlowId, order one op's flows the same way; should they wrap
+  /// between two of them, the later one dies and its client retries.
+  static constexpr int kFlowBits = 12;
+  TxnId NewHolder(uint64_t op) {
+    assert(op >> (64 - kFlowBits) == 0);
+    const uint64_t flow = NewFlowId() & ((uint64_t{1} << kFlowBits) - 1);
+    return ~(op << kFlowBits | flow);
   }
 
-  void Unlock(uint64_t op, BlockNum block) {
-    for (TxnId granted : locks.Release(LockId(op), LockKey{self, block})) {
+  /// Runs `body(holder)` once a new flow of `op` holds `mode` on `block`:
+  /// at once when granted, else when the holders ahead of it release.
+  /// Returns false, without running `body`, when the flow dies: it met a
+  /// holder that is older in wait-die order (a later op's flow). The
+  /// caller undoes what it set up, and the client's retransmission starts
+  /// the flow afresh.
+  bool WithLock(uint64_t op, BlockNum block, LockMode mode,
+                std::function<void(TxnId)> body) {
+    const TxnId holder = NewHolder(op);
+    switch (locks.Acquire(holder, LockKey{self, block}, mode)) {
+      case LockResult::kGranted:
+        body(holder);
+        return true;
+      case LockResult::kWait:
+        sys->stats_.Add("node.lock_waits");
+        waiting.emplace(holder, std::move(body));
+        return true;
+      case LockResult::kAbort:
+        break;
+    }
+    sys->stats_.Add("node.lock_aborts");
+    return false;
+  }
+
+  void Unlock(TxnId holder, BlockNum block) {
+    for (TxnId granted : locks.Release(holder, LockKey{self, block})) {
       auto it = waiting.find(granted);
       if (it == waiting.end()) continue;
-      auto resume = std::move(it->second.resume);
+      auto resume = std::move(it->second);
       waiting.erase(it);
-      resume();
+      resume(granted);
     }
   }
 
@@ -192,7 +212,8 @@ struct RaddNodeSystem::Node {
       return;
     }
     const BlockNum prow = phys(req.group, req.row);
-    WithLock(req.op, prow, LockMode::kShared, [this, req, from, prow]() {
+    WithLock(req.op, prow, LockMode::kShared,
+             [this, req, from, prow](TxnId holder) {
       if (const BlockCache::Entry* e = cache.Lookup(prow)) {
         // §3.3 rule: a hit is served only when the cached UID still
         // matches the store's current record — the same UID-agreement
@@ -208,7 +229,7 @@ struct RaddNodeSystem::Node {
           rep.status = Status::OK();
           rep.data = e->data;
           rep.uid = e->uid;
-          Unlock(req.op, prow);
+          Unlock(holder, prow);
           size_t wire = rep.data.size();
           Send(from, MessageType::kReadReply, std::move(rep), wire);
           return;
@@ -217,7 +238,7 @@ struct RaddNodeSystem::Node {
         cache.Invalidate(prow);
       }
       ScheduleDisk(IoClass::kForeground, IoKind::kRead, prow, 1,
-                   [this, req, from, prow]() {
+                   [this, req, from, prow, holder]() {
         ReadReply rep;
         rep.op = req.op;
         Result<BlockRecord> rec = store()->Read(prow);
@@ -233,7 +254,7 @@ struct RaddNodeSystem::Node {
         } else {
           rep.status = rec.status();
         }
-        Unlock(req.op, prow);
+        Unlock(holder, prow);
         size_t wire = rep.status.ok() ? rep.data.size() : 0;
         Send(from, MessageType::kReadReply, std::move(rep), wire);
       });
@@ -330,8 +351,9 @@ struct RaddNodeSystem::Node {
     }
     const uint64_t op = req.op;
     const BlockNum prow = phys(req.group, req.row);
-    WithLock(op, prow, LockMode::kExclusive,
-             [this, req = std::move(req), from]() mutable {
+    const bool live = WithLock(
+        op, prow, LockMode::kExclusive,
+        [this, req = std::move(req), from](TxnId holder) mutable {
       if (site()->state() == SiteState::kRecovering) {
         // The spare may hold a newer value (writes we missed while down):
         // fetch-and-invalidate it for a correct parity delta.
@@ -342,8 +364,8 @@ struct RaddNodeSystem::Node {
         // Continuation lives in OnSpareTakeReply via pending write state.
         sys->stats_.Add("node.recovering_spare_fetch");
         uint64_t op = req.op;
-        pending_local_writes.emplace(op,
-                                     PendingLocalWrite{std::move(req), from});
+        pending_local_writes.emplace(
+            op, PendingLocalWrite{std::move(req), from, holder});
         // The spare can die between this request and its reply; without a
         // bound the flow would hold the row lock forever (and keep the
         // system from ever quiescing). Give up after the client's own
@@ -357,19 +379,25 @@ struct RaddNodeSystem::Node {
               sys->stats_.Add("node.spare_fetch_timeout");
               BlockNum prow =
                   phys(it->second.req.group, it->second.req.row);
+              const TxnId holder = it->second.holder;
               pending_local_writes.erase(it);
               write_flows.erase(op);
-              Unlock(op, prow);
+              Unlock(holder, prow);
             });
         return;
       }
-      ApplyLocalWrite(std::move(req), from, /*old_override=*/std::nullopt);
+      ApplyLocalWrite(std::move(req), from, holder,
+                      /*old_override=*/std::nullopt);
     });
+    // A flow that died had no side effect: forget it, so the client's
+    // retry starts afresh instead of waiting on it as a duplicate.
+    if (!live) write_flows.erase(op);
   }
 
   struct PendingLocalWrite {
     WriteReq req;
     SiteId reply_to;
+    TxnId holder;
   };
   std::map<uint64_t, PendingLocalWrite> pending_local_writes;
 
@@ -381,14 +409,15 @@ struct RaddNodeSystem::Node {
     pending_local_writes.erase(it);
     std::optional<Block> old;
     if (rep.status.ok()) old = std::move(rep.data);
-    ApplyLocalWrite(std::move(plw.req), plw.reply_to, std::move(old));
+    ApplyLocalWrite(std::move(plw.req), plw.reply_to, plw.holder,
+                    std::move(old));
   }
 
-  void ApplyLocalWrite(WriteReq req, SiteId reply_to,
+  void ApplyLocalWrite(WriteReq req, SiteId reply_to, TxnId holder,
                        std::optional<Block> old_override) {
     const BlockNum addr = phys(req.group, req.row);
     ScheduleDisk(IoClass::kForeground, IoKind::kWrite, addr, 1,
-                 [this, req = std::move(req), reply_to,
+                 [this, req = std::move(req), reply_to, holder,
                   old_override = std::move(old_override)]() mutable {
       // The old value lives only until the diff below: lease its buffer.
       Block old_value(0);
@@ -412,15 +441,16 @@ struct RaddNodeSystem::Node {
           const BlockNum row = req.row;
           StartReconstruction(
               g, home, row,
-              [this, req = std::move(req), reply_to, prow](
+              [this, req = std::move(req), reply_to, holder, prow](
                   Status st, Block base, Uid) mutable {
                 if (!st.ok()) {
-                  Unlock(req.op, prow);
+                  Unlock(holder, prow);
                   CompleteWrite(req.op, reply_to, MessageType::kWriteReply,
                                 WriteReply{req.op, st});
                   return;
                 }
-                ApplyLocalWrite(std::move(req), reply_to, std::move(base));
+                ApplyLocalWrite(std::move(req), reply_to, holder,
+                                std::move(base));
               });
           return;
         } else {
@@ -430,7 +460,7 @@ struct RaddNodeSystem::Node {
       Uid uid = site()->uids()->Next();
       Status st = store()->Write(prow, req.data, uid);
       if (!st.ok()) {
-        Unlock(req.op, prow);
+        Unlock(holder, prow);
         CompleteWrite(req.op, reply_to, MessageType::kWriteReply,
                       WriteReply{req.op, st});
         return;
@@ -459,7 +489,7 @@ struct RaddNodeSystem::Node {
       SendParityLegs(
           g, home, row, *payload, {&old_value, &old_value}, uid,
           [this, op, g, home, row, prow, uid, reply_to, invalidate_spare,
-           early_unlock, payload]() {
+           early_unlock, holder, payload]() {
             // §5 commit check: between the local write and the parity ack
             // the recovery sweep may have rebuilt this block from a
             // pre-update source (reconstruction from parity that had not
@@ -493,19 +523,20 @@ struct RaddNodeSystem::Node {
                    MessageType::kSpareInvalidate,
                    SpareTakeReq{op, g, home, row}, 0);
             }
-            if (!early_unlock) Unlock(op, prow);
+            if (!early_unlock) Unlock(holder, prow);
             CompleteWrite(op, reply_to, MessageType::kWriteReply,
                           WriteReply{op, Status::OK()});
           },
-          [this, op, prow, reply_to, early_unlock, payload](Status st) {
+          [this, op, prow, reply_to, early_unlock, holder,
+           payload](Status st) {
             sys->arena_.Return(std::move(*payload));
             // Retransmission exhausted or parity nacked: release the lock
             // and surface the failure instead of holding the row hostage.
-            if (!early_unlock) Unlock(op, prow);
+            if (!early_unlock) Unlock(holder, prow);
             FailWrite(op, reply_to, MessageType::kWriteReply, std::move(st));
           });
       sys->arena_.Return(std::move(old_value));
-      if (early_unlock) Unlock(op, prow);
+      if (early_unlock) Unlock(holder, prow);
     });
   }
 
@@ -987,9 +1018,10 @@ struct RaddNodeSystem::Node {
       return;
     }
     const BlockNum prow = phys(req.group, req.row);
-    WithLock(req.op, prow, LockMode::kShared, [this, req, from, prow]() {
+    WithLock(req.op, prow, LockMode::kShared,
+             [this, req, from, prow](TxnId holder) {
       ScheduleDisk(IoClass::kForeground, IoKind::kRead, prow, 1,
-                   [this, req, from, prow]() {
+                   [this, req, from, prow, holder]() {
         SpareReadReply rep;
         rep.op = req.op;
         Result<BlockRecord> rec = store()->Read(prow);
@@ -1000,7 +1032,7 @@ struct RaddNodeSystem::Node {
         } else {
           rep.status = Status::NotFound("spare invalid");
         }
-        Unlock(req.op, prow);
+        Unlock(holder, prow);
         size_t wire = rep.status.ok() ? rep.data.size() : 0;
         Send(from, MessageType::kSpareReadReply, std::move(rep), wire);
       });
@@ -1018,9 +1050,10 @@ struct RaddNodeSystem::Node {
       return;
     }
     const BlockNum prow = phys(req.group, req.row);
-    WithLock(req.op, prow, LockMode::kExclusive, [this, req, from, prow]() {
+    WithLock(req.op, prow, LockMode::kExclusive,
+             [this, req, from, prow](TxnId holder) {
       ScheduleDisk(IoClass::kForeground, IoKind::kRead, prow, 1,
-                   [this, req, from, prow]() {
+                   [this, req, from, prow, holder]() {
         SpareReadReply rep;
         rep.op = req.op;
         Result<BlockRecord> rec = store()->Read(prow);
@@ -1031,7 +1064,7 @@ struct RaddNodeSystem::Node {
         } else {
           rep.status = Status::NotFound("spare invalid");
         }
-        Unlock(req.op, prow);
+        Unlock(holder, prow);
         size_t wire = rep.status.ok() ? rep.data.size() : 0;
         Send(from, MessageType::kSpareTakeReply, std::move(rep), wire);
       });
@@ -1070,8 +1103,9 @@ struct RaddNodeSystem::Node {
     }
     const uint64_t op = req.op;
     const BlockNum prow = phys(req.group, req.row);
-    WithLock(op, prow, LockMode::kExclusive,
-             [this, req = std::move(req), from]() mutable {
+    const bool live = WithLock(
+        op, prow, LockMode::kExclusive,
+        [this, req = std::move(req), from](TxnId holder) mutable {
       if (lay(req.group).LegsOf(req.row).count > 1) {
         // More than one leg: the old value must be fetched per leg — a
         // torn pair (one leg applied an update the other missed around the
@@ -1079,7 +1113,7 @@ struct RaddNodeSystem::Node {
         // already-applied logical UID is re-driven for the same reason: the
         // previous flow may have converged one leg and not the other, and
         // the per-leg deltas are zero wherever a leg is already current.
-        StartLegGather(std::move(req), from);
+        StartLegGather(std::move(req), from, holder);
         return;
       }
       Result<BlockRecord> old = store()->Peek(phys(req.group, req.row));
@@ -1087,13 +1121,13 @@ struct RaddNodeSystem::Node {
           old.ok() && old->uid.valid() && old->spare_for == req.home;
       if (have_old && old->logical_uid == req.uid) {
         // Duplicate of a spare write we already performed (lost reply).
-        Unlock(req.op, phys(req.group, req.row));
+        Unlock(holder, phys(req.group, req.row));
         CompleteWrite(req.op, from, MessageType::kSpareWriteReply,
                       WriteReply{req.op, Status::OK()});
         return;
       }
       if (have_old) {
-        CommitSpareWrite(std::move(req), from,
+        CommitSpareWrite(std::move(req), from, holder,
                          LegValues{std::move(old->data), Block(0)});
         return;
       }
@@ -1104,18 +1138,19 @@ struct RaddNodeSystem::Node {
       const BlockNum row = req.row;
       StartReconstruction(
           g, home, row,
-          [this, req = std::move(req), from](Status st, Block data,
-                                             Uid) mutable {
+          [this, req = std::move(req), from, holder](
+              Status st, Block data, Uid) mutable {
             if (!st.ok()) {
-              Unlock(req.op, phys(req.group, req.row));
+              Unlock(holder, phys(req.group, req.row));
               CompleteWrite(req.op, from, MessageType::kSpareWriteReply,
                             WriteReply{req.op, st});
               return;
             }
-            CommitSpareWrite(std::move(req), from,
+            CommitSpareWrite(std::move(req), from, holder,
                              LegValues{std::move(data), Block(0)});
           });
     });
+    if (!live) write_flows.erase(op);  // as in OnWriteReq
   }
 
   /// The home's old value as each parity leg of a row encodes it (P, then
@@ -1124,10 +1159,11 @@ struct RaddNodeSystem::Node {
 
   /// Commits a spare write: persists the record, then ships every parity
   /// leg its delta from `old[leg]`.
-  void CommitSpareWrite(SpareWriteReq req, SiteId reply_to, LegValues old) {
+  void CommitSpareWrite(SpareWriteReq req, SiteId reply_to, TxnId holder,
+                        LegValues old) {
     const BlockNum addr = phys(req.group, req.row);
     ScheduleDisk(IoClass::kForeground, IoKind::kWrite, addr, 1,
-                 [this, req = std::move(req), reply_to,
+                 [this, req = std::move(req), reply_to, holder,
                   old = std::move(old)]() mutable {
       const uint64_t op = req.op;
       const BlockNum prow = phys(req.group, req.row);
@@ -1145,7 +1181,7 @@ struct RaddNodeSystem::Node {
         // sweep will drain. Stay silent — the client's retry re-evaluates
         // and targets the home.
         sys->stats_.Add("node.spare_write_stale");
-        Unlock(op, prow);
+        Unlock(holder, prow);
         write_flows.erase(op);
         drop();
         return;
@@ -1158,7 +1194,7 @@ struct RaddNodeSystem::Node {
         // yet; committing too would bring the op's delta to the parity
         // twice. Refuse; the client restamps and re-routes.
         sys->stats_.Add("node.stale_epoch_rejected");
-        Unlock(op, prow);
+        Unlock(holder, prow);
         FailWrite(op, reply_to, MessageType::kSpareWriteReply,
                   Status::StaleEpoch("spare write epoch"));
         drop();
@@ -1170,7 +1206,7 @@ struct RaddNodeSystem::Node {
         // double failure): overwriting it would lose that member's
         // acknowledged writes. A row has one spare; this write fails.
         sys->stats_.Add("node.spare_write_occupied");
-        Unlock(op, prow);
+        Unlock(holder, prow);
         CompleteWrite(op, reply_to, MessageType::kSpareWriteReply,
                       WriteReply{op, Status::Blocked("spare occupied")});
         drop();
@@ -1184,21 +1220,21 @@ struct RaddNodeSystem::Node {
       Status st = store()->WriteRecord(prow, rec);
       cache.Invalidate(prow);
       if (!st.ok()) {
-        Unlock(op, prow);
+        Unlock(holder, prow);
         CompleteWrite(op, reply_to, MessageType::kSpareWriteReply,
                       WriteReply{op, st});
         return;
       }
       SendParityLegs(req.group, req.home, req.row, rec.data,
                      {&old[0], &old[1]}, req.uid,
-                     [this, op, prow, reply_to]() {
-                       Unlock(op, prow);
+                     [this, op, prow, reply_to, holder]() {
+                       Unlock(holder, prow);
                        CompleteWrite(op, reply_to,
                                      MessageType::kSpareWriteReply,
                                      WriteReply{op, Status::OK()});
                      },
-                     [this, op, prow, reply_to](Status lst) {
-                       Unlock(op, prow);
+                     [this, op, prow, reply_to, holder](Status lst) {
+                       Unlock(holder, prow);
                        FailWrite(op, reply_to, MessageType::kSpareWriteReply,
                                  std::move(lst));
                      });
@@ -1211,15 +1247,17 @@ struct RaddNodeSystem::Node {
   struct LegGather {
     SpareWriteReq req;
     SiteId reply_to = 0;
+    TxnId holder = 0;
     ParityLegs legs;
     std::array<bool, 2> usable{};
     LegValues old{Block(0), Block(0)};
   };
 
-  void StartLegGather(SpareWriteReq req, SiteId from) {
+  void StartLegGather(SpareWriteReq req, SiteId from, TxnId holder) {
     auto st = std::make_shared<LegGather>();
     st->req = std::move(req);
     st->reply_to = from;
+    st->holder = holder;
     st->legs = lay(st->req.group).LegsOf(st->req.row);
     for (int leg = 0; leg < st->legs.count; ++leg) {
       st->usable[static_cast<size_t>(leg)] =
@@ -1251,7 +1289,7 @@ struct RaddNodeSystem::Node {
       if (base == nullptr && !all_down) {
         sys->stats_.Add("node.spare_write_no_usable_leg");
         const uint64_t op = st->req.op;
-        Unlock(op, phys(st->req.group, st->req.row));
+        Unlock(st->holder, phys(st->req.group, st->req.row));
         sys->arena_.Return(std::move(st->req.data));
         CompleteWrite(op, st->reply_to, MessageType::kSpareWriteReply,
                       WriteReply{op, Status::Blocked("no usable parity leg")});
@@ -1261,7 +1299,8 @@ struct RaddNodeSystem::Node {
       for (size_t i = 0; i < n; ++i) {
         if (!st->usable[i]) st->old[i] = sys->arena_.LeaseCopyOf(*base);
       }
-      CommitSpareWrite(std::move(st->req), st->reply_to, std::move(st->old));
+      CommitSpareWrite(std::move(st->req), st->reply_to, st->holder,
+                       std::move(st->old));
       return;
     }
     if (!st->usable[leg]) {
@@ -1289,7 +1328,7 @@ struct RaddNodeSystem::Node {
                 for (Block& b : st->old) sys->arena_.Return(std::move(b));
                 if (!sst.ok()) {
                   const uint64_t op = st->req.op;
-                  Unlock(op, phys(st->req.group, st->req.row));
+                  Unlock(st->holder, phys(st->req.group, st->req.row));
                   CompleteWrite(op, st->reply_to,
                                 MessageType::kSpareWriteReply,
                                 WriteReply{op, sst});
@@ -1300,7 +1339,7 @@ struct RaddNodeSystem::Node {
                 }
                 st->old[n - 1] = std::move(data);
                 CommitSpareWrite(std::move(st->req), st->reply_to,
-                                 std::move(st->old));
+                                 st->holder, std::move(st->old));
               });
         },
         /*for_read=*/false, /*force_leg=*/static_cast<int>(leg));

@@ -1,11 +1,11 @@
 // Transport — the seam between the protocol layer and whatever actually
 // carries its messages.
 //
-// The protocol stack (core/node.cc) historically called Network::Send
-// directly, which welds it to the in-process DES. This interface breaks
-// that weld: a Transport accepts a typed Message and gets it to the
-// destination site's handler by whatever means it implements. Two
-// backends exist:
+// With a Transport installed, the protocol stack (core/node.cc) hands it
+// every message instead of the DES Network, so one stack runs over the
+// simulated network and over real sockets alike. A Transport accepts a
+// typed Message and gets it to the destination site's handler by whatever
+// means it implements. Two backends exist:
 //
 //   * DesTransport (here): the discrete-event Network, with every message
 //     riding the packed frame codec (net/frame.h): encode to bytes, decode

@@ -1,14 +1,12 @@
 // Wire protocol of the simulated network: the closed set of message
 // types, one payload struct per type, and the variant that carries them.
 //
-// The payload used to be a std::any, which costs a heap allocation per
-// message and RTTI-based casts per delivery; Message::type used to be a
-// std::string, rebuilt (and compared character by character in the
-// dispatch chain) for every send. Both are replaced here: MessageType is
-// a dense enum that indexes per-type statistics and fault hooks directly,
-// and Payload is a std::variant over the protocol structs, stored inline
-// in the Message. Large payloads (Blocks) still travel by move, so the
-// messaging hot path performs no per-message allocation of its own.
+// MessageType is a dense enum that indexes per-type statistics and fault
+// hooks directly, with no string built or compared per send. Payload is a
+// std::variant over the protocol structs, stored inline in the Message,
+// so a delivery needs no heap allocation and no RTTI cast. Large payloads
+// (Blocks) travel by move, so the messaging hot path performs no
+// per-message allocation of its own.
 //
 // Sizes quoted in `wire_bytes` fields are the §7.4-style wire costs; every
 // message additionally pays the fixed kWireHeader.
@@ -72,8 +70,8 @@ constexpr bool IsReservedMessageType(MessageType type) {
 }
 
 /// Stable on-the-wire name, e.g. "parity_batch". Used for stat keys and
-/// traces; the strings are identical to the pre-enum ones so recorded
-/// stats stay comparable across revisions.
+/// traces; a name never changes, so recorded stats stay comparable across
+/// revisions.
 const std::string& MessageTypeName(MessageType type);
 
 /// Inverse of MessageTypeName; kNone for an unknown name.

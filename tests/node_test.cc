@@ -223,6 +223,92 @@ TEST_F(NodeTest, SpareWriteRefusedWhenHomeMovesBeforeCommit) {
   EXPECT_EQ(r.data, Pat(2));
 }
 
+TEST_F(NodeTest, SpareTakeOfTheSameOpWaitsForTheSpareWrite) {
+  // A spare write holds the spare's lock while it decodes the home's old
+  // value. A take of the same spare for the same op (a recovering home
+  // running the client's retry) arrives in that window. Each flow holds
+  // its own lock, so the take queues behind the spare write and reads
+  // what it committed; sharing the op's hold, it would read the spare as
+  // still empty and both flows would commit the op.
+  SiteStatusService& service = *sys_->status();
+  ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 1, 2, Pat(1)).status.ok());
+  ASSERT_TRUE(service.InjectCrash(SiteOf(1)).ok());
+  const BlockNum row = sys_->layout(0).DataToRow(1, 2);
+  const SiteId spare =
+      SiteOf(static_cast<int>(sys_->layout(0).SpareSite(row)));
+  SiteId client = 0;
+  while (client == SiteOf(1) || client == spare) ++client;
+  Network::Handler to_spare = net_->GetHandler(spare);
+  std::optional<uint64_t> op;
+  bool took = false;
+  net_->RegisterHandler(spare, [&](Message& msg) {
+    if (msg.type == MessageType::kSpareWriteReq) {
+      op = std::get<SpareWriteReq>(msg.payload).op;
+    }
+    if (msg.type == MessageType::kReconReply && op && !took) {
+      took = true;
+      Message take;
+      take.from = client;
+      take.to = spare;
+      take.type = MessageType::kSpareTakeReq;
+      take.payload = SpareTakeReq{*op, 0, 1, row};
+      to_spare(take);
+    }
+    to_spare(msg);
+  });
+  Network::Handler to_client = net_->GetHandler(client);
+  std::vector<SpareReadReply> takes;
+  net_->RegisterHandler(client, [&](Message& msg) {
+    if (msg.type == MessageType::kSpareTakeReply) {
+      takes.push_back(std::get<SpareReadReply>(msg.payload));
+    }
+    to_client(msg);
+  });
+  auto w = sys_->Write(client, 0, 1, 2, Pat(2));
+  ASSERT_TRUE(w.status.ok()) << w.status.ToString();
+  sim_->Run();
+  ASSERT_TRUE(took);
+  ASSERT_EQ(takes.size(), 1u);
+  ASSERT_TRUE(takes[0].status.ok()) << takes[0].status.ToString();
+  EXPECT_EQ(takes[0].data, Pat(2));
+  EXPECT_GT(sys_->stats().Get("node.lock_waits"), 0u);
+}
+
+TEST_F(NodeTest, TwoWaitingFlowsOfOneOpBothResume) {
+  // A read request and its retransmission both queue behind a write's
+  // lock. Each is its own flow, so each resumes and replies; keyed by the
+  // op, the second would overwrite the first's resume.
+  const SiteId home = SiteOf(2);
+  const SiteId client = SiteOf(3);
+  const BlockNum row = sys_->layout(0).DataToRow(2, 0);
+  constexpr uint64_t kReadOp = 1000;
+  Network::Handler to_client = net_->GetHandler(client);
+  int replies = 0;
+  net_->RegisterHandler(client, [&](Message& msg) {
+    if (msg.type == MessageType::kReadReply &&
+        std::get<ReadReply>(msg.payload).op == kReadOp) {
+      ++replies;
+      return;
+    }
+    to_client(msg);
+  });
+  sys_->AsyncWrite(home, 0, 2, 0, Pat(1), [](Status, SimTime) {});
+  Network::Handler to_home = net_->GetHandler(home);
+  sim_->Schedule(Millis(1), [&]() {  // the write's disk I/O holds the lock
+    for (int copy = 0; copy < 2; ++copy) {
+      Message read;
+      read.from = client;
+      read.to = home;
+      read.type = MessageType::kReadReq;
+      read.payload = ReadReq{kReadOp, 0, row};
+      to_home(read);
+    }
+  });
+  sim_->Run();
+  EXPECT_EQ(sys_->stats().Get("node.lock_waits"), 2u);
+  EXPECT_EQ(replies, 2);
+}
+
 TEST_F(NodeTest, CrashWriteRecoverRoundTrip) {
   ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 1, 2, Pat(1)).status.ok());
   ASSERT_TRUE(cluster_->CrashSite(SiteOf(1)).ok());

@@ -11,9 +11,9 @@
 //     so concurrent shards and run-farm jobs cannot corrupt counters or
 //     the buffer free list.
 //
-// The volume oracle mirrors bench_throughput's volume mode in miniature:
-// a closed loop of mixed reads/writes per site, client == home, fault-free
-// network — the confinement contract under which sharding is defined.
+// The volume oracle drives a miniature volume: a closed loop of mixed
+// reads/writes per site, client == home, fault-free network — the
+// confinement contract under which sharding is defined.
 
 #include <algorithm>
 #include <atomic>
@@ -27,12 +27,12 @@
 
 #include <gtest/gtest.h>
 
-#include "core/volume.h"
 #include "fault/chaos.h"
 #include "sim/parallel_runner.h"
 #include "sim/simulator.h"
 #include "sim/stats.h"
 #include "sim/thread_pool.h"
+#include "volume_load.h"
 
 namespace radd {
 namespace {
@@ -166,117 +166,17 @@ TEST(ShardedSimulatorTest, SingleShardRunParallelMatchesRun) {
 
 // --------------------------------------------------- volume oracle (mini)
 
-/// Outcome digest of a volume run: simulated makespan, ops completed, and
-/// an FNV-1a hash over every site's full store contents (data bytes, block
-/// UIDs, parity UID arrays) — the "final readback state".
-struct VolumeOutcome {
-  SimTime makespan = 0;
-  int completed = 0;
-  uint64_t store_hash = 0;
-  bool operator==(const VolumeOutcome& o) const {
-    return makespan == o.makespan && completed == o.completed &&
-           store_hash == o.store_hash;
-  }
-};
-
-uint64_t HashMix(uint64_t h, uint64_t v) {
-  h ^= v + 0x9e3779b97f4a7c15ull + (h << 6) + (h >> 2);
-  return h;
-}
-
+/// The miniature volume: groups of G = 2 over 8 rows of 128-byte blocks,
+/// two ops in flight per drive.
 VolumeOutcome RunMiniVolume(int groups, int threads, int ops_per_site) {
-  RaddConfig config;
-  config.group_size = 2;  // members = 4
-  config.rows = 8;
-  config.block_size = 128;
-  const int members = config.group_size + 2;
-  const int num_sites = groups == 1 ? members : members - 1 + groups;
-  std::vector<int> drives(num_sites, 0);
-  for (int d = 0; d < groups * members; ++d) ++drives[d % num_sites];
-
-  Simulator sim;
-  if (threads > 0) {
-    sim.ConfigureShards(num_sites, NetworkModel{}.one_way_latency);
-  }
-  Network net(&sim, NetworkModel{}, 0xB01);
-  if (threads > 0) {
-    for (int s = 0; s < num_sites; ++s) net.MapSiteToShard(s, s);
-  }
-  std::vector<SiteConfig> site_configs;
-  for (int s = 0; s < num_sites; ++s) {
-    site_configs.push_back(SiteConfig{
-        1, static_cast<BlockNum>(drives[s]) * config.rows,
-        config.block_size});
-  }
-  Cluster cluster(site_configs);
-  VolumeConfig vc;
-  vc.group = config;
-  vc.drives_per_site = drives;
-  Result<std::unique_ptr<RaddVolume>> made =
-      RaddVolume::Create(&sim, &net, &cluster, vc);
-  EXPECT_TRUE(made.ok()) << made.status().ToString();
-  RaddVolume& vol = **made;
-
-  struct SiteLoop {
-    Block payload{0};
-    int completed = 0;
-    int issued = 0;
-  };
-  std::vector<SiteLoop> loops(static_cast<size_t>(num_sites));
-  for (auto& l : loops) l.payload = Block(config.block_size);
-  std::function<void(int)> issue = [&](int s) {
-    SiteLoop& loop = loops[static_cast<size_t>(s)];
-    if (loop.issued >= ops_per_site) return;
-    const int i = loop.issued++;
-    const SiteId site = static_cast<SiteId>(s);
-    const BlockNum lba =
-        static_cast<BlockNum>(i) % vol.DataBlocksAtSite(site);
-    if (i % 3 == 0) {
-      vol.AsyncRead(site, site, lba,
-                    [&, s](Status, const Block&, SimTime) {
-                      ++loops[static_cast<size_t>(s)].completed;
-                      issue(s);
-                    });
-    } else {
-      loop.payload.FillPattern(static_cast<uint64_t>(s * 100003 + i));
-      vol.AsyncWrite(site, site, lba, loop.payload,
-                     [&, s](Status, SimTime) {
-                       ++loops[static_cast<size_t>(s)].completed;
-                       issue(s);
-                     });
-    }
-  };
-  constexpr int kOutstanding = 2;
-  if (threads > 0) {
-    for (int s = 0; s < num_sites; ++s) {
-      sim.AtShard(s, 0, [&, s]() {
-        for (int k = 0; k < kOutstanding * drives[s]; ++k) issue(s);
-      });
-    }
-  } else {
-    for (int s = 0; s < num_sites; ++s) {
-      for (int k = 0; k < kOutstanding * drives[s]; ++k) issue(s);
-    }
-  }
-  VolumeOutcome out;
-  out.makespan = threads > 0 ? sim.RunParallel(threads) : sim.Run();
-  uint64_t h = 1469598103934665603ull;
-  for (int s = 0; s < num_sites; ++s) {
-    const BlockStore* store = cluster.site(static_cast<SiteId>(s))->store();
-    for (BlockNum b = 0; b < store->total_blocks(); ++b) {
-      Result<BlockRecord> rec = store->Peek(b);
-      if (!rec.ok()) {
-        h = HashMix(h, 0xDEAD);
-        continue;
-      }
-      for (uint8_t byte : rec->data.bytes()) h = HashMix(h, byte);
-      h = HashMix(h, rec->uid.raw());
-      for (Uid u : rec->uid_array) h = HashMix(h, u.raw());
-    }
-    out.completed += loops[static_cast<size_t>(s)].completed;
-  }
-  out.store_hash = h;
-  return out;
+  VolumeLoad load;
+  load.group.group_size = 2;  // members = 4
+  load.group.rows = 8;
+  load.group.block_size = 128;
+  load.groups = groups;
+  load.ops_per_site = ops_per_site;
+  load.threads = threads;
+  return RunVolumeLoad(load);
 }
 
 TEST(VolumeOracleTest, ShardedMatchesMonolithicAtG1) {
@@ -307,6 +207,38 @@ TEST(VolumeOracleTest, ThreadCountInvarianceAtG8) {
   EXPECT_EQ(one, RunMiniVolume(8, 2, 12));
   EXPECT_EQ(one, RunMiniVolume(8, 4, 12));
   EXPECT_EQ(one, RunMiniVolume(8, 8, 12));
+}
+
+TEST(VolumeOracleTest, FourGroupsAtFourThreadsUnderLoad) {
+  // The parallel engine under contention, for the TSan job: a 4-group
+  // volume on 7 sites at 4 worker threads, 16,100 ops, against the
+  // monolithic engine's outcome.
+  VolumeOutcome mono = RunMiniVolume(4, 0, 2300);
+  EXPECT_EQ(mono.completed, 7 * 2300);
+  EXPECT_EQ(mono, RunMiniVolume(4, 4, 2300));
+}
+
+TEST(VolumeOracleTest, DualParityVolumesCompleteEveryOpAtG1ToG8) {
+  // P+Q volumes under the full closed loop: groups of G = 8 with two
+  // parity legs over 60 rows of 4 KiB, 4 ops in flight per drive and
+  // 4,000 ops per group, at 1, 2, 4 and 8 groups. Every op completes and
+  // succeeds, and every group's P and Q invariants hold at the end.
+  for (int groups : {1, 2, 4, 8}) {
+    SCOPED_TRACE(groups);
+    VolumeLoad load;
+    load.group.group_size = 8;
+    load.group.parities = 2;
+    load.group.rows = 60;
+    load.group.block_size = 4096;
+    load.groups = groups;
+    const int sites = VolumeSites(load.group, groups);
+    load.ops_per_site = 4000 * groups / sites;
+    load.outstanding_per_drive = 4;
+    VolumeOutcome out = RunVolumeLoad(load);
+    EXPECT_EQ(out.completed, sites * load.ops_per_site);
+    EXPECT_EQ(out.failed, 0);
+    EXPECT_TRUE(out.invariants_ok);
+  }
 }
 
 // ----------------------------------------------------- chaos oracle (farm)

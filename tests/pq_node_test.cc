@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <vector>
 
 namespace radd {
 namespace {
@@ -16,15 +18,16 @@ class PqNodeTest : public ::testing::Test {
  protected:
   PqNodeTest() { Build(); }
 
-  void Build(const NodeConfig& nc = {}) {
-    config_.group_size = 4;
+  void Build(const NodeConfig& nc = {}, int group_size = 4,
+             BlockNum rows = 14, size_t block_size = 512) {
+    config_.group_size = group_size;
     config_.parities = 2;
-    config_.rows = 14;
-    config_.block_size = 512;
+    config_.rows = rows;
+    config_.block_size = block_size;
     SiteConfig sc{1, config_.rows, config_.block_size};
     sim_ = std::make_unique<Simulator>();
     net_ = std::make_unique<Network>(sim_.get(), NetworkModel{}, 0xabc);
-    cluster_ = std::make_unique<Cluster>(7, sc);
+    cluster_ = std::make_unique<Cluster>(group_size + 3, sc);
     sys_ = std::make_unique<RaddNodeSystem>(sim_.get(), net_.get(),
                                             cluster_.get(), config_, nc);
   }
@@ -125,6 +128,58 @@ TEST_F(PqNodeTest, ReadSurvivesHomePlusSpareCrash) {
   // The dead spare was skipped, not waited out.
   EXPECT_GT(sys_->stats().Get("node.read_spare_down"), 0u);
   EXPECT_GT(sys_->stats().Get("node.degraded_reads"), 0u);
+}
+
+TEST_F(PqNodeTest, DegradedReadsUnderLoadReturnTheLatestWrite) {
+  // A closed loop against a dead member: 1,000 ops from one surviving
+  // client, 4 in flight, one read to two writes, in a group of 8 with 60
+  // rows of 4 KiB. Every read is a decode or a spare hit and every write
+  // lands on the row's spare; each must succeed, and each read returns the
+  // block's last acknowledged value.
+  Build({}, /*group_size=*/8, /*rows=*/60, /*block_size=*/4096);
+  constexpr int kHome = 2;
+  constexpr int kOps = 1000;
+  const BlockNum blocks = sys_->group(0)->DataBlocksPerMember();
+  ASSERT_GT(blocks, 4u);  // no two ops in flight share a block
+  std::vector<Block> acked;
+  for (BlockNum i = 0; i < blocks; ++i) {
+    acked.push_back(Pat(i));
+    ASSERT_TRUE(sys_->Write(SiteOf(kHome), 0, kHome, i, acked.back())
+                    .status.ok());
+  }
+  sim_->Run();
+  ASSERT_TRUE(cluster_->CrashSite(SiteOf(kHome)).ok());
+
+  const SiteId client = SiteOf(0);
+  int issued = 0, reads = 0, writes = 0;
+  std::function<void()> issue = [&]() {
+    if (issued >= kOps) return;
+    const int i = issued++;
+    const BlockNum index = static_cast<BlockNum>(i) % blocks;
+    if (i % 3 == 0) {
+      sys_->AsyncRead(client, 0, kHome, index,
+                      [&, index](Status st, const Block& data, SimTime) {
+                        EXPECT_TRUE(st.ok()) << st.ToString();
+                        EXPECT_EQ(data, acked[index]) << "block " << index;
+                        ++reads;
+                        issue();
+                      });
+    } else {
+      Block b = Pat(100000 + static_cast<uint64_t>(i));
+      sys_->AsyncWrite(client, 0, kHome, index, b,
+                       [&, index, b](Status st, SimTime) {
+                         EXPECT_TRUE(st.ok()) << st.ToString();
+                         if (st.ok()) acked[index] = b;
+                         ++writes;
+                         issue();
+                       });
+    }
+  };
+  for (int k = 0; k < 4; ++k) issue();
+  sim_->Run();
+  EXPECT_EQ(reads + writes, kOps);
+  EXPECT_GT(sys_->stats().Get("node.degraded_reads"), 0u);
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
 }
 
 TEST_F(PqNodeTest, ReadSurvivesTwoDataMemberCrashes) {

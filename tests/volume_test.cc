@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <memory>
 #include <optional>
 #include <set>
@@ -15,6 +16,7 @@
 
 #include "cluster/status_service.h"
 #include "core/sweeper.h"
+#include "volume_load.h"
 
 namespace radd {
 namespace {
@@ -233,6 +235,38 @@ TEST_F(VolumeTest, SweeperDrainsAllGroupsConcurrently) {
     ASSERT_TRUE(r.status.ok());
     EXPECT_EQ(r.data, Pat(500 + lba));
   }
+}
+
+/// Ops per simulated second of a closed-loop load on a `groups`-group
+/// volume over the modeled disk: 4 spindles per site, deadline
+/// scheduling, a 64-block cache. Groups of 8 over 60 rows of 4 KiB per
+/// drive; 4 ops in flight per drive, 4,000 ops per group in all.
+double ModeledDiskOpsPerSimSecond(int groups) {
+  VolumeLoad load;
+  load.group.group_size = 8;
+  load.group.rows = 60;
+  load.group.block_size = 4096;
+  load.node.disk_sched.spindles = 4;
+  load.node.disk_sched.policy = IoPolicy::kDeadline;
+  load.node.disk_sched.cache_blocks = 64;
+  load.groups = groups;
+  load.ops_per_site = 4000 * groups / VolumeSites(load.group, groups);
+  load.outstanding_per_drive = 4;
+  const VolumeOutcome out = RunVolumeLoad(load);
+  EXPECT_EQ(out.failed, 0);
+  EXPECT_TRUE(out.invariants_ok);
+  return out.completed / ToSeconds(out.makespan);
+}
+
+TEST_F(VolumeTest, ModeledDiskScalesThreefoldFromOneGroupToEight) {
+  // §4's load spreading under the modeled disk: eight groups over 17
+  // sites move at least three times the simulated throughput of one
+  // group over 10, at constant per-group load.
+  const double g1 = ModeledDiskOpsPerSimSecond(1);
+  const double g8 = ModeledDiskOpsPerSimSecond(8);
+  std::printf("ops per simulated second: g1 %.0f, g8 %.0f (%.2fx)\n", g1,
+              g8, g8 / g1);
+  EXPECT_GE(g8, 3.0 * g1);
 }
 
 // ---------------------------------------------------------------------------

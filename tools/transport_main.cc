@@ -13,7 +13,7 @@
 //                                         # must stay clean
 //   transport_main --bench [--out FILE]   # p50/p99 write->ack latency and
 //                                         # throughput for both backends,
-//                                         # written as BENCH_transport.json
+//                                         # as JSON (stdout or FILE)
 //
 // Exit code 0 only if every invariant held. Defaults: --diff 10 seeds,
 // --chaos 40 seeds (the robustness floor the CI smoke relies on).
@@ -205,8 +205,7 @@ int RunBench(const std::string& out_path, int ops) {
       "runs the same schedule through the fault-injecting proxy "
       "(DefaultLossyMix) and is throughput-bound by retransmit timeouts; "
       "its ledger stayed clean.\",\n";
-  json += "  \"regenerate\": \"scripts/bench.sh <runs> <build> transport "
-          "(or build/tools/transport_main --bench)\",\n";
+  json += "  \"regenerate\": \"build/tools/transport_main --bench\",\n";
   json += "  \"host_cores\": " + std::to_string(host_cores) + ",\n";
   json += std::string("  \"degraded_host\": ") +
           (degraded ? "true" : "false") + ",\n";
