@@ -49,17 +49,26 @@ build "$repo" "$work/head-build"
 
 examples=(quickstart protocol_simulation disaster_recovery distributed_dbms
           heterogeneous_sites scheme_comparison)
-chaos_names=(manual autopilot batch pq batch-pq-autopilot codec modeled-disk
-             groups4-autopilot declustered-expand)
+# The fifteen chaos modes the Release CI job and ROADMAP.md sweep.
+chaos_names=(manual autopilot batch batch-autopilot codec modeled-disk
+             modeled-disk-autopilot groups4-autopilot pq pq-autopilot batch-pq
+             batch-pq-autopilot declustered-autopilot declustered-expand
+             declustered-expand-autopilot)
 chaos_flags=(""
              "--autopilot"
              "--batch"
-             "--scheme pq"
-             "--batch --scheme pq --autopilot"
+             "--batch --autopilot"
              "--codec"
              "--spindles 4 --disk-policy deadline --cache-blocks 64"
+             "--autopilot --spindles 4 --disk-policy deadline --cache-blocks 64"
              "--groups 4 --autopilot"
-             "--layout declustered --sites 12 --expand")
+             "--scheme pq"
+             "--scheme pq --autopilot"
+             "--batch --scheme pq"
+             "--batch --scheme pq --autopilot"
+             "--autopilot --layout declustered --sites 12"
+             "--layout declustered --sites 12 --expand"
+             "--autopilot --layout declustered --sites 12 --expand")
 
 run_all() {  # run_all <build-dir> <out-dir>
   local b="$1" out="$2"

@@ -5,6 +5,7 @@
 #include <cassert>
 
 #include "common/gf256.h"
+#include "core/row_code.h"
 #include "disk/block_cache.h"
 #include "net/transport.h"
 #include "net/wire.h"
@@ -903,9 +904,9 @@ struct RaddNodeSystem::Node {
       // Q legs share one encoding. Coalesced entries merge deltas for one
       // (row, position) key, which all share the same coefficient, so
       // scaling after the merge equals merging scaled deltas.
-      if (RoleHere(frame.group, e.row) == BlockRole::kParityQ) {
-        GfScaleInPlace(&e.delta, GfQCoeff(e.position));
-      }
+      const int leg =
+          RoleHere(frame.group, e.row) == BlockRole::kParityQ ? 1 : 0;
+      GfScaleInPlace(&e.delta, LegCoeff(leg, e.position));
       ChangeMask mask = ChangeMask::FromFull(std::move(e.delta));
       Status st = store()->ApplyMask(
           phys(frame.group, e.row), mask, e.uid,
@@ -1441,10 +1442,9 @@ struct RaddNodeSystem::Node {
     int rounds = 0;       // re-plans and timeout-driven reissues
     uint64_t timer = 0;   // pending round-timeout event
     // Decode plan (PlanRecon): the home plus at most one other data member
-    // (`lost_dm`) are erased, and each erasure takes one parity leg.
-    bool use_p = false;
-    bool use_q = false;
-    int lost_dm = -1;
+    // are erased, and each erasure takes one parity leg.
+    RowPlan plan;
+    std::vector<SiteId> data_members;  // the row's, as of the plan
     /// Members that answered with an unreadable block this flow; treated
     /// as erased in later plans even while their site looks up.
     std::set<int> dead_sources;
@@ -1466,22 +1466,19 @@ struct RaddNodeSystem::Node {
   Status PlanRecon(Recon& rc) {
     RaddGroup* g = grp(rc.group);
     const PlacementMap& l = lay(rc.group);
+    rc.data_members = l.DataSites(rc.row);
     rc.sources.clear();
-    rc.lost_dm = -1;
-    for (SiteId dm : l.DataSites(rc.row)) {
+    std::vector<int> erased;
+    for (SiteId dm : rc.data_members) {
       const int m = static_cast<int>(dm);
       if (m == rc.home) continue;
-      const bool lost =
-          rc.dead_sources.count(m) != 0 ||
-          sys->status_.Perceived(self, g->SiteOfMember(m)) == SiteState::kDown;
-      if (!lost) {
+      if (rc.dead_sources.count(m) != 0 ||
+          sys->status_.Perceived(self, g->SiteOfMember(m)) ==
+              SiteState::kDown) {
+        erased.push_back(m);
+      } else {
         rc.sources.push_back(dm);
-        continue;
       }
-      if (rc.lost_dm >= 0) {
-        return Status::Blocked("two data members unavailable");
-      }
-      rc.lost_dm = m;
     }
     const ParityLegs legs = l.LegsOf(rc.row);
     std::array<bool, 2> usable{};
@@ -1490,35 +1487,15 @@ struct RaddNodeSystem::Node {
       usable[static_cast<size_t>(leg)] =
           rc.dead_sources.count(m) == 0 && LegUsable(rc.group, m);
     }
-    rc.use_p = false;
-    rc.use_q = false;
-    if (rc.force_leg >= 0) {
-      if (rc.lost_dm >= 0) {
-        return Status::Blocked("forced-leg decode with a second erasure");
+    PlanHints hints;
+    hints.force_leg = rc.force_leg;
+    RADD_ASSIGN_OR_RETURN(rc.plan,
+                          PlanDecode(rc.home, erased, usable, hints));
+    for (int leg = 0; leg < legs.count; ++leg) {
+      if (rc.plan.use[static_cast<size_t>(leg)]) {
+        rc.sources.push_back(legs[leg]);
       }
-      if (!usable[static_cast<size_t>(rc.force_leg)]) {
-        return Status::Blocked("forced parity leg unusable");
-      }
-      (rc.force_leg == 0 ? rc.use_p : rc.use_q) = true;
-    } else if (rc.lost_dm < 0) {
-      // One erasure (the home): any one leg suffices.
-      if (usable[0]) {
-        rc.use_p = true;
-      } else if (usable[1]) {
-        rc.use_q = true;
-      } else {
-        return Status::Blocked("no parity leg usable");
-      }
-    } else {
-      // Two erasures: solving for two unknowns needs both sums.
-      if (!usable[0] || !usable[1]) {
-        return Status::Blocked("second erasure without two usable legs");
-      }
-      rc.use_p = true;
-      rc.use_q = true;
     }
-    if (rc.use_p) rc.sources.push_back(legs[0]);
-    if (rc.use_q) rc.sources.push_back(legs[1]);
     std::sort(rc.sources.begin(), rc.sources.end());
     return Status::OK();
   }
@@ -1634,42 +1611,24 @@ struct RaddNodeSystem::Node {
     FinishDecode(it);
   }
 
-  /// Decodes a completed round per the plan PlanRecon chose: P only (the
-  /// paper's formula (2), plain XOR), Q only (scaled sum), or the full
-  /// two-erasure solve when a second data member is gone.
+  /// Decodes a completed round per the plan PlanRecon chose, through the
+  /// row codec: §3.3 on every planned leg, then P only (formula (2)), Q
+  /// only, or the two-erasure solve when a second data member is gone.
   void FinishDecode(std::map<uint64_t, Recon>::iterator it) {
     Recon& rc = it->second;
     const ParityLegs legs = lay(rc.group).LegsOf(rc.row);
-    const int pm = static_cast<int>(legs[0]);
-    const int qm = legs.count > 1 ? static_cast<int>(legs[1]) : -1;
-    const ReconReply* prep = rc.use_p ? &rc.replies.at(pm) : nullptr;
-    const ReconReply* qrep = rc.use_q ? &rc.replies.at(qm) : nullptr;
-    auto entry = [](const ReconReply* r, int m) {
-      return r != nullptr && static_cast<size_t>(m) < r->uid_array.size()
-                 ? r->uid_array[static_cast<size_t>(m)]
-                 : Uid();
-    };
-    // §3.3 on every leg in the plan: each data reply must match the leg's
-    // array entry, and when both legs take part their arrays must agree on
-    // every data member — including the erased ones nobody read — so a
-    // torn dual update (one leg applied, the other still in flight) can
-    // never assemble a wrong block.
-    bool consistent = true;
+    RowRead read;
+    read.data.reserve(rc.replies.size());
     for (const auto& [m, r] : rc.replies) {
-      if (m == pm || m == qm) continue;
-      if (rc.use_p && r.uid != entry(prep, m)) consistent = false;
-      if (rc.use_q && r.uid != entry(qrep, m)) consistent = false;
-    }
-    if (consistent && rc.use_p && rc.use_q) {
-      for (SiteId dm : lay(rc.group).DataSites(rc.row)) {
-        if (entry(prep, static_cast<int>(dm)) !=
-            entry(qrep, static_cast<int>(dm))) {
-          consistent = false;
-          break;
-        }
+      if (m == static_cast<int>(legs[0])) {
+        read.legs[0] = {&r.data, &r.uid_array};
+      } else if (legs.count > 1 && m == static_cast<int>(legs[1])) {
+        read.legs[1] = {&r.data, &r.uid_array};
+      } else {
+        read.data.push_back({m, r.uid, &r.data});
       }
     }
-    if (!consistent) {
+    if (!CheckRow(rc.plan, read, rc.data_members)) {
       sys->stats_.Add("node.uid_retry");
       if (++rc.uid_retries >= sys->node_config_.max_reconstruct_attempts) {
         FinishRecon(it, Status::Inconsistent("UID validation failed"),
@@ -1680,67 +1639,23 @@ struct RaddNodeSystem::Node {
       IssueReconRound(it->first);
       return;
     }
-    // Accumulate into an arena buffer; the block travels by move from here
-    // to the final consumer, which returns it.
+    // Decode into an arena buffer; the block travels by move from here to
+    // the final consumer, which returns it.
     Block out = sys->arena_.Lease();
-    Status st = Status::OK();
-    if (rc.use_p && !rc.use_q) {
-      // Formula (2): the home is the XOR of every other block of the row.
-      for (const auto& [m, r] : rc.replies) {
-        if (r.data.size() == out.size()) {
-          internal::XorBytes(out.data(), r.data.data(), out.size());
-        }
-      }
-    } else if (rc.use_q && !rc.use_p) {
-      // Single erasure via Q: D_home = inv(g^home) * (Q ^ sum g^m D_m).
-      for (const auto& [m, r] : rc.replies) {
-        if (r.data.size() != out.size()) continue;
-        if (m == qm) {
-          internal::XorBytes(out.data(), r.data.data(), out.size());
-        } else {
-          st = GfMulAddInto(&out, r.data, GfQCoeff(m));
-          if (!st.ok()) break;
-        }
-      }
-      if (st.ok()) GfScaleInPlace(&out, GfInv(GfQCoeff(rc.home)));
-    } else {
-      // Two erasures (home plus lost_dm). With the survivors folded in,
-      // Sp = D_home ^ D_b and Sq = g^home*D_home ^ g^b*D_b, so
-      // D_home = inv(g^home ^ g^b) * (g^b*Sp ^ Sq).
-      Block sp = sys->arena_.Lease();
-      for (const auto& [m, r] : rc.replies) {
-        if (r.data.size() != out.size()) continue;
-        if (m == pm) {
-          internal::XorBytes(sp.data(), r.data.data(), sp.size());
-        } else if (m == qm) {
-          internal::XorBytes(out.data(), r.data.data(), out.size());
-        } else {
-          internal::XorBytes(sp.data(), r.data.data(), sp.size());
-          st = GfMulAddInto(&out, r.data, GfQCoeff(m));
-          if (!st.ok()) break;
-        }
-      }
-      if (st.ok()) st = GfMulAddInto(&out, sp, GfQCoeff(rc.lost_dm));
-      if (st.ok()) {
-        GfScaleInPlace(&out,
-                       GfInv(static_cast<uint8_t>(GfQCoeff(rc.home) ^
-                                                  GfQCoeff(rc.lost_dm))));
-        sys->stats_.Add("node.recon_two_erasure");
-      }
-      sys->arena_.Return(std::move(sp));
-    }
+    Status st = DecodeRow(rc.plan, read, &out);
     if (!st.ok()) {
       sys->arena_.Return(std::move(out));
       FinishRecon(it, std::move(st), Block(0), Uid());
       return;
     }
-    Uid logical = entry(rc.use_p ? prep : qrep, rc.home);
+    const Uid logical = DecodedUid(rc.plan, read);
+    if (rc.plan.two_legs()) sys->stats_.Add("node.recon_two_erasure");
     sys->stats_.Add("node.reconstructions");
     if (rc.for_read) {
       sys->stats_.Add("node.degraded_reads");
-      if (rc.use_p && rc.use_q) {
+      if (rc.plan.two_legs()) {
         sys->stats_.Add("node.degraded_reads.pq");
-      } else if (rc.use_p) {
+      } else if (rc.plan.use[0]) {
         sys->stats_.Add("node.degraded_reads.p");
       } else {
         sys->stats_.Add("node.degraded_reads.q");
@@ -1784,6 +1699,15 @@ RaddNodeSystem::RaddNodeSystem(Simulator* sim, Network* net,
     if (spec.config.block_size != specs.front().config.block_size) {
       std::fprintf(stderr,
                    "RaddNodeSystem: all groups must share one block size\n");
+      std::abort();
+    }
+    // The protocol writes a spare in every row and its recovery drains
+    // every row's spare; §7.2's thinned spares are the synchronous model's
+    // alone.
+    if (spec.config.spare_fraction != 1.0) {
+      std::fprintf(stderr,
+                   "RaddNodeSystem: spare_fraction must be 1 (every row "
+                   "keeps a spare)\n");
       std::abort();
     }
     groups_.push_back(

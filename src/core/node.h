@@ -4,7 +4,9 @@
 //
 // The synchronous RaddGroup (core/radd.h) is the reference model with
 // exact Figure-3 accounting; this layer executes the same steps as real
-// request/reply message flows with disk and network latency, so it
+// request/reply message flows with disk and network latency, and plans,
+// validates and decodes its reconstructions through the same row codec
+// (core/row_code.h), in which single parity is the one-leg case of P+Q. It
 // additionally answers questions the cost model cannot: operation
 // *latency* (concurrent sub-operations overlap), behaviour under message
 // loss (parity updates are retransmitted until acknowledged, and a write
@@ -84,7 +86,8 @@ class RaddNodeSystem {
 
   /// Multi-group form: one protocol stack running every group in `specs`
   /// side by side. All specs must share one block size (they feed one
-  /// buffer arena). At most one member per (group, site).
+  /// buffer arena) and keep a spare in every row (`spare_fraction` 1); the
+  /// constructor aborts otherwise. At most one member per (group, site).
   RaddNodeSystem(Simulator* sim, Network* net, Cluster* cluster,
                  std::vector<GroupSpec> specs,
                  const NodeConfig& node_config = {});

@@ -1,11 +1,11 @@
 #include "core/radd.h"
 
-#include <cassert>
 #include <cstdio>
 #include <cstdlib>
 #include <set>
 
 #include "common/gf256.h"
+#include "core/row_code.h"
 
 namespace radd {
 
@@ -93,6 +93,18 @@ Status RaddGroup::ValidateMembers(const Cluster& cluster,
   return Status::OK();
 }
 
+Status RaddGroup::CheckMember(int m) const {
+  if (m >= 0 && m < num_members()) return Status::OK();
+  return Status::InvalidArgument("no member " + std::to_string(m));
+}
+
+Status RaddGroup::CheckDataAddress(int home, BlockNum data_index) const {
+  RADD_RETURN_NOT_OK(CheckMember(home));
+  if (data_index < DataBlocksPerMember()) return Status::OK();
+  return Status::InvalidArgument("data block " + std::to_string(data_index) +
+                                 " out of range");
+}
+
 int RaddGroup::MemberAtSite(SiteId site) const {
   for (size_t m = 0; m < members_.size(); ++m) {
     if (members_[m].site == site) return static_cast<int>(m);
@@ -142,6 +154,15 @@ bool RaddGroup::SpareExists(BlockNum row) const {
          static_cast<uint64_t>(static_cast<double>(row) * f);
 }
 
+std::optional<BlockRecord> RaddGroup::ValidSpare(BlockNum row) const {
+  if (!SpareExists(row)) return std::nullopt;
+  const int sm = static_cast<int>(map_->SpareSite(row));
+  if (StateOfMember(sm) == SiteState::kDown) return std::nullopt;
+  Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, row));
+  if (!srec.ok() || !srec->uid.valid()) return std::nullopt;
+  return std::move(srec).value();
+}
+
 Result<BlockRecord> RaddGroup::ReadPhys(int m, BlockNum row) const {
   if (StateOfMember(m) == SiteState::kDown) {
     return Status::Unavailable("site " +
@@ -157,16 +178,8 @@ Result<BlockRecord> RaddGroup::ReadPhys(int m, BlockNum row) const {
 
 OpResult RaddGroup::Read(SiteId client, int home, BlockNum data_index) {
   OpResult out;
-  if (home < 0 || home >= num_members()) {
-    out.status = Status::InvalidArgument("no member " + std::to_string(home));
-    return out;
-  }
-  if (data_index >= DataBlocksPerMember()) {
-    out.status = Status::InvalidArgument("data block " +
-                                         std::to_string(data_index) +
-                                         " out of range");
-    return out;
-  }
+  out.status = CheckDataAddress(home, data_index);
+  if (!out.ok()) return out;
   BlockNum row = map_->DataToRow(static_cast<SiteId>(home), data_index);
   // An expansion may have migrated the block onto another member; from
   // here on the protocol runs against the hosting member (the parity UID
@@ -203,40 +216,16 @@ OpResult RaddGroup::Read(SiteId client, int home, BlockNum data_index) {
 OpResult RaddGroup::DegradedRead(SiteId client, int home, BlockNum row) {
   OpResult out;
   int sm = static_cast<int>(map_->SpareSite(row));
-  if (!SpareExists(row)) {
-    Result<Reconstructed> recon = Reconstruct(client, home, row, &out.counts);
-    if (!recon.ok()) {
-      out.status = recon.status();
-      return out;
-    }
-    out.data = std::move(recon->data);
-    out.uid = recon->logical_uid;
-    out.status = Status::OK();
-    return out;
-  }
 
   // Try the spare first (paper: "the decision is based on the state of the
   // spare block"). Validity is a metadata check; the counted read happens
   // only when the spare's contents are actually used.
   bool spare_usable = false;
-  if (StateOfMember(sm) != SiteState::kDown) {
+  if (SpareExists(row) && StateOfMember(sm) != SiteState::kDown) {
     Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, row));
     spare_usable = srec.ok();
     if (srec.ok() && srec->uid.valid()) {
-      if (srec->spare_for != home) {
-        if (!map_->dual_parity()) {
-          out.status = Status::Internal(
-              "spare of row " + std::to_string(row) + " shadows member " +
-              std::to_string(srec->spare_for) + ", expected " +
-              std::to_string(home) + " (double failure?)");
-          return out;
-        }
-        // Double failure: the row's one spare is absorbing writes for the
-        // *other* dead member. Leave it alone and decode; P and Q already
-        // carry that member's spare-absorbed deltas, so the decode below
-        // is still exact.
-        spare_usable = false;
-      } else {
+      if (srec->spare_for == home) {
         (void)ReadPhys(sm, row);  // the physical spare read
         ChargeRead(client, sm, &out.counts);
         out.uid = srec->logical_uid;
@@ -244,6 +233,11 @@ OpResult RaddGroup::DegradedRead(SiteId client, int home, BlockNum row) {
         out.status = Status::OK();
         return out;
       }
+      // Double failure: the row's one spare is absorbing writes for the
+      // *other* dead member. Leave it alone and decode; the legs already
+      // carry that member's spare-absorbed deltas, and the decode reads
+      // the member through the spare.
+      spare_usable = false;
     }
   }
 
@@ -286,24 +280,22 @@ OpResult RaddGroup::RecoveringRead(SiteId client, int home, BlockNum row) {
   int sm = static_cast<int>(map_->SpareSite(row));
 
   // 1. Valid spare wins (it holds writes made while the site was down).
-  if (SpareExists(row) && StateOfMember(sm) != SiteState::kDown) {
-    Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, row));
-    if (srec.ok() && srec->uid.valid() && srec->spare_for == home) {
-      (void)ReadPhys(sm, row);  // the physical spare read
-      ChargeRead(client, sm, &out.counts);
-      // Side effect (§3.2): install the correct contents locally and
-      // invalidate the spare.
-      Status st = SiteOf(home)->store()->Write(Phys(home, row), srec->data,
-                                               srec->logical_uid);
-      if (st.ok()) {
-        (void)SiteOf(sm)->store()->Invalidate(Phys(sm, row));
-        stats_.Add("radd.spare_invalidate");
-      }
-      out.data = std::move(srec->data);
-      out.uid = srec->logical_uid;
-      out.status = Status::OK();
-      return out;
+  if (std::optional<BlockRecord> spare = ValidSpare(row);
+      spare && spare->spare_for == home) {
+    (void)ReadPhys(sm, row);  // the physical spare read
+    ChargeRead(client, sm, &out.counts);
+    // Side effect (§3.2): install the correct contents locally and
+    // invalidate the spare.
+    Status st = SiteOf(home)->store()->Write(Phys(home, row), spare->data,
+                                             spare->logical_uid);
+    if (st.ok()) {
+      (void)SiteOf(sm)->store()->Invalidate(Phys(sm, row));
+      stats_.Add("radd.spare_invalidate");
     }
+    out.data = std::move(spare->data);
+    out.uid = spare->logical_uid;
+    out.status = Status::OK();
+    return out;
   }
 
   // 2. Valid local block.
@@ -350,287 +342,92 @@ Result<RaddGroup::Reconstructed> RaddGroup::Reconstruct(SiteId client,
                                                         int home,
                                                         BlockNum row,
                                                         OpCounts* counts) {
-  if (map_->dual_parity()) {
-    return ReconstructDual(client, home, row, counts);
-  }
-  const int pm = static_cast<int>(map_->ParitySite(row));
-  std::vector<SiteId> source_members =
-      map_->ReconstructionSources(static_cast<SiteId>(home), row);
-
-  for (int attempt = 0; attempt < config_.max_reconstruct_attempts;
-       ++attempt) {
-    std::vector<BlockRecord> records;
-    records.reserve(source_members.size());
-    bool readable = true;
-    for (SiteId sm : source_members) {
-      int m = static_cast<int>(sm);
-      if (!BlockReadable(m, row)) {
-        return Status::Blocked(
-            "cannot reconstruct row " + std::to_string(row) + ": member " +
-            std::to_string(m) + " also unavailable (multiple failures)");
-      }
-      Result<BlockRecord> rec = ReadPhys(m, row);
-      if (!rec.ok()) {
-        readable = false;
-        break;
-      }
-      ChargeRead(client, m, counts);
-      records.push_back(std::move(rec).value());
-    }
-    if (!readable) {
-      return Status::Blocked("source became unreadable during reconstruction");
-    }
-
-    // §3.3 consistency validation: every data source's UID must equal the
-    // parity block's UID-array entry for that member. (The parity block
-    // contributes the array itself.)
-    const std::vector<Uid>* array = nullptr;
-    for (size_t i = 0; i < source_members.size(); ++i) {
-      if (static_cast<int>(source_members[i]) == pm) {
-        array = &records[i].uid_array;
-        break;
-      }
-    }
-    auto array_entry = [&](int member) -> Uid {
-      if (array == nullptr ||
-          static_cast<size_t>(member) >= array->size()) {
-        return Uid();
-      }
-      return (*array)[static_cast<size_t>(member)];
-    };
-
-    bool consistent = true;
-    for (size_t i = 0; i < source_members.size(); ++i) {
-      int m = static_cast<int>(source_members[i]);
-      if (m == pm) continue;
-      if (records[i].uid != array_entry(m)) {
-        consistent = false;
-        break;
-      }
-    }
-    if (!consistent) {
-      stats_.Add("radd.uid_retry");
-      continue;  // "the read was not consistent and must be retried"
-    }
-
-    Reconstructed out;
-    out.data = Block(records.front().data.size());
-    Status x = XorAllInto(&out.data, records.size(),
-                          [&](size_t i) -> const Block& {
-                            return records[i].data;
-                          });
-    if (!x.ok()) return x;
-
-    stats_.Add("radd.reconstructions");
-    out.logical_uid = array_entry(home);
-    return out;
-  }
-  return Status::Inconsistent(
-      "reconstruction of row " + std::to_string(row) + " failed UID "
-      "validation after " + std::to_string(config_.max_reconstruct_attempts) +
-      " attempts");
-}
-
-Result<RaddGroup::Reconstructed> RaddGroup::ReconstructDual(SiteId client,
-                                                            int home,
-                                                            BlockNum row,
-                                                            OpCounts* counts) {
-  const int pm = static_cast<int>(map_->ParitySite(row));
-  const int qm = static_cast<int>(map_->QParitySite(row));
+  const ParityLegs legs = map_->LegsOf(row);
   const int sm = static_cast<int>(map_->SpareSite(row));
   const std::vector<SiteId> data_members = map_->DataSites(row);
-  assert(map_->RoleOf(static_cast<SiteId>(home), row) == BlockRole::kData);
 
   // Set once a P-only decode fails validation: P may lag a member that Q
   // holds (a torn pair), so the next attempt decodes through Q.
-  bool p_disagreed = false;
+  PlanHints hints;
   for (int attempt = 0; attempt < config_.max_reconstruct_attempts;
        ++attempt) {
-    // A parity has decode authority only when its site is up: a recovering
-    // parity may have dropped updates for exactly the member being decoded,
-    // which no surviving UID array can expose. Its sweep restores
-    // authority.
-    const bool p_ok =
-        StateOfMember(pm) == SiteState::kUp && BlockReadable(pm, row);
-    const bool q_ok =
-        StateOfMember(qm) == SiteState::kUp && BlockReadable(qm, row);
+    // A parity leg has decode authority only while its site is up: a
+    // recovering parity may have dropped updates for exactly the member
+    // being decoded, which no surviving UID array can expose. Its sweep
+    // restores authority.
+    std::array<bool, 2> usable{};
+    for (int leg = 0; leg < legs.count; ++leg) {
+      const int pm = static_cast<int>(legs[leg]);
+      usable[static_cast<size_t>(leg)] =
+          StateOfMember(pm) == SiteState::kUp && BlockReadable(pm, row);
+    }
 
     // A valid spare stands in for the data member it shadows: the member's
-    // own copy is stale or gone, but P and Q already carry the
+    // own copy is stale or gone, but the legs already carry the
     // spare-absorbed deltas and the arrays record the spare's logical UID.
-    int shadowed_dm = -1;
-    if (SpareExists(row) && StateOfMember(sm) != SiteState::kDown) {
-      Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, row));
-      if (srec.ok() && srec->uid.valid()) shadowed_dm = srec->spare_for;
-    }
-
-    struct Source {
-      int m = -1;              // the data member this block stands in for
-      bool via_spare = false;  // read the spare block instead of m's own
-    };
-    std::vector<Source> sources;
-    sources.reserve(data_members.size());
-    int lost_dm = -1;  // a second erased data member besides home
+    const std::optional<BlockRecord> spare = ValidSpare(row);
+    const int shadowed_dm = spare ? spare->spare_for : -1;
+    std::vector<int> sources;
+    std::vector<int> erased;
     for (SiteId dm_id : data_members) {
-      int dm = static_cast<int>(dm_id);
+      const int dm = static_cast<int>(dm_id);
       if (dm == home) continue;
       if (dm == shadowed_dm || BlockReadable(dm, row)) {
-        sources.push_back({dm, dm == shadowed_dm});
-        continue;
-      }
-      if (lost_dm >= 0) {
-        return Status::Blocked(
-            "cannot reconstruct row " + std::to_string(row) +
-            ": members " + std::to_string(lost_dm) + " and " +
-            std::to_string(dm) + " also unavailable (triple failure)");
-      }
-      lost_dm = dm;
-    }
-
-    // Pick the decode plan: which parities the syndromes need.
-    bool use_p = false;
-    bool use_q = false;
-    if (lost_dm < 0) {
-      if (p_ok && !(p_disagreed && q_ok)) {
-        use_p = true;  // classic formula (2); Q not needed
-      } else if (q_ok) {
-        use_q = true;  // D_home = inv(g^home) * Sq
+        sources.push_back(dm);
       } else {
-        return Status::Blocked(
-            "cannot reconstruct row " + std::to_string(row) +
-            ": both parities unavailable (triple failure)");
+        erased.push_back(dm);
       }
-    } else {
-      if (!p_ok || !q_ok) {
-        return Status::Blocked(
-            "cannot reconstruct row " + std::to_string(row) + ": member " +
-            std::to_string(lost_dm) +
-            " and a parity also unavailable (triple failure)");
-      }
-      use_p = use_q = true;
+    }
+    Result<RowPlan> plan = PlanDecode(home, erased, usable, hints);
+    if (!plan.ok()) {
+      return Status::Blocked("cannot reconstruct row " + std::to_string(row) +
+                             ": " + plan.status().message());
     }
 
-    // Read the sources.
+    // Read the sources, then the planned legs. `read` points into `recs`,
+    // reserved up front so no push moves a record.
     std::vector<BlockRecord> recs;
-    std::vector<Uid> rec_uids;  // the UID the arrays should record
-    recs.reserve(sources.size());
-    bool readable = true;
-    for (const Source& s : sources) {
-      int from = s.via_spare ? sm : s.m;
+    recs.reserve(sources.size() + 2);
+    RowRead read;
+    read.data.reserve(sources.size());
+    auto read_block = [&](int from) -> const BlockRecord* {
       Result<BlockRecord> rec = ReadPhys(from, row);
-      if (!rec.ok()) {
-        readable = false;
-        break;
-      }
+      if (!rec.ok()) return nullptr;
       ChargeRead(client, from, counts);
-      rec_uids.push_back(s.via_spare ? rec->logical_uid : rec->uid);
       recs.push_back(std::move(rec).value());
+      return &recs.back();
+    };
+    for (int dm : sources) {
+      const bool via_spare = dm == shadowed_dm;
+      const BlockRecord* rec = read_block(via_spare ? sm : dm);
+      if (rec == nullptr) {
+        return Status::Blocked(
+            "source became unreadable during reconstruction");
+      }
+      read.data.push_back(
+          {dm, via_spare ? rec->logical_uid : rec->uid, &rec->data});
     }
-    if (!readable) {
-      return Status::Blocked("source became unreadable during reconstruction");
-    }
-    std::optional<BlockRecord> prec;
-    std::optional<BlockRecord> qrec;
-    if (use_p) {
-      Result<BlockRecord> rec = ReadPhys(pm, row);
-      if (!rec.ok()) {
+    for (int leg = 0; leg < legs.count; ++leg) {
+      if (!plan->use[static_cast<size_t>(leg)]) continue;
+      const BlockRecord* rec = read_block(static_cast<int>(legs[leg]));
+      if (rec == nullptr) {
         return Status::Blocked(
             "parity became unreadable during reconstruction");
       }
-      ChargeRead(client, pm, counts);
-      prec = std::move(rec).value();
-    }
-    if (use_q) {
-      Result<BlockRecord> rec = ReadPhys(qm, row);
-      if (!rec.ok()) {
-        return Status::Blocked(
-            "Q parity became unreadable during reconstruction");
-      }
-      ChargeRead(client, qm, counts);
-      qrec = std::move(rec).value();
+      read.legs[static_cast<size_t>(leg)] = {&rec->data, &rec->uid_array};
     }
 
-    // §3.3 validation against every parity in the plan, plus cross-parity
-    // agreement on all data entries (including the erased ones) when both
-    // participate — that is what catches one parity being one write behind
-    // on exactly the member being decoded.
-    auto entry_of = [](const BlockRecord& p, int member) -> Uid {
-      size_t pos = static_cast<size_t>(member);
-      return pos < p.uid_array.size() ? p.uid_array[pos] : Uid();
-    };
-    bool consistent = true;
-    for (size_t i = 0; i < sources.size() && consistent; ++i) {
-      if (use_p && rec_uids[i] != entry_of(*prec, sources[i].m)) {
-        consistent = false;
-      }
-      if (consistent && use_q &&
-          rec_uids[i] != entry_of(*qrec, sources[i].m)) {
-        consistent = false;
-      }
-    }
-    if (consistent && use_p && use_q) {
-      for (SiteId dm_id : data_members) {
-        int dm = static_cast<int>(dm_id);
-        if (entry_of(*prec, dm) != entry_of(*qrec, dm)) {
-          consistent = false;
-          break;
-        }
-      }
-    }
-    if (!consistent) {
+    if (!CheckRow(*plan, read, data_members)) {
       stats_.Add("radd.uid_retry");
-      if (use_p && !use_q) p_disagreed = true;
+      if (!plan->two_legs() && plan->use[0]) hints.avoid_p = true;
       continue;  // "the read was not consistent and must be retried"
     }
-
-    // Decode.
     Reconstructed out;
     out.data = Block(config_.block_size);
-    Status st = Status::OK();
-    if (use_p && !use_q) {
-      // Sp = P xor surviving data = D_home.
-      st = out.data.XorWith(prec->data);
-      for (size_t i = 0; i < recs.size() && st.ok(); ++i) {
-        st = out.data.XorWith(recs[i].data);
-      }
-    } else if (use_q && !use_p) {
-      // Sq = Q xor sum g^m D_m over survivors = g^home * D_home.
-      st = out.data.XorWith(qrec->data);
-      for (size_t i = 0; i < recs.size() && st.ok(); ++i) {
-        st = GfMulAddInto(&out.data, recs[i].data, GfQCoeff(sources[i].m));
-      }
-      if (st.ok()) GfScaleInPlace(&out.data, GfInv(GfQCoeff(home)));
-    } else {
-      // Two data erasures {a = home, b = lost_dm}:
-      //   Sp = D_a ^ D_b,  Sq = g^a D_a ^ g^b D_b
-      //   => (g^b * Sp) ^ Sq = (g^a ^ g^b) * D_a.
-      Block sp(config_.block_size);
-      Block sq(config_.block_size);
-      st = sp.XorWith(prec->data);
-      if (st.ok()) st = sq.XorWith(qrec->data);
-      for (size_t i = 0; i < recs.size() && st.ok(); ++i) {
-        st = sp.XorWith(recs[i].data);
-        if (st.ok()) {
-          st = GfMulAddInto(&sq, recs[i].data, GfQCoeff(sources[i].m));
-        }
-      }
-      if (st.ok()) {
-        const uint8_t cb = GfQCoeff(lost_dm);
-        st = GfMulAddInto(&sq, sp, cb);  // sq = (g^b * Sp) ^ Sq
-      }
-      if (st.ok()) {
-        GfScaleInPlace(
-            &sq, GfInv(static_cast<uint8_t>(GfQCoeff(home) ^
-                                            GfQCoeff(lost_dm))));
-        out.data = std::move(sq);
-        stats_.Add("radd.reconstructions_two_erasure");
-      }
-    }
-    if (!st.ok()) return st;
-
+    RADD_RETURN_NOT_OK(DecodeRow(*plan, read, &out.data));
+    if (plan->two_legs()) stats_.Add("radd.reconstructions_two_erasure");
     stats_.Add("radd.reconstructions");
-    out.logical_uid =
-        use_p ? entry_of(*prec, home) : entry_of(*qrec, home);
+    out.logical_uid = DecodedUid(*plan, read);
     return out;
   }
   return Status::Inconsistent(
@@ -646,16 +443,8 @@ Result<RaddGroup::Reconstructed> RaddGroup::ReconstructDual(SiteId client,
 OpResult RaddGroup::Write(SiteId client, int home, BlockNum data_index,
                           const Block& new_data) {
   OpResult out;
-  if (home < 0 || home >= num_members()) {
-    out.status = Status::InvalidArgument("no member " + std::to_string(home));
-    return out;
-  }
-  if (data_index >= DataBlocksPerMember()) {
-    out.status = Status::InvalidArgument("data block " +
-                                         std::to_string(data_index) +
-                                         " out of range");
-    return out;
-  }
+  out.status = CheckDataAddress(home, data_index);
+  if (!out.ok()) return out;
   if (new_data.size() != config_.block_size) {
     out.status = Status::InvalidArgument("wrong block size");
     return out;
@@ -683,33 +472,23 @@ OpResult RaddGroup::Write(SiteId client, int home, BlockNum data_index,
       bool have_old = false;
       int sm = static_cast<int>(map_->SpareSite(row));
       bool spare_valid = false;
-      if (recovering && SpareExists(row) &&
-          StateOfMember(sm) != SiteState::kDown) {
-        Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, row));
-        if (srec.ok() && srec->uid.valid() && srec->spare_for == home) {
-          // Writes made while this site was down live in the spare; the
-          // local copy is stale. Fetch the spare for the delta.
-          (void)ReadPhys(sm, row);  // the physical spare read
-          ChargeRead(client, sm, &out.counts);
-          old_value = std::move(srec->data);
-          have_old = true;
-          spare_valid = true;
-        }
+      std::optional<BlockRecord> spare;
+      if (recovering) spare = ValidSpare(row);
+      if (spare && spare->spare_for == home) {
+        // Writes made while this site was down live in the spare; the
+        // local copy is stale. Fetch the spare for the delta.
+        (void)ReadPhys(sm, row);  // the physical spare read
+        ChargeRead(client, sm, &out.counts);
+        old_value = std::move(spare->data);
+        have_old = true;
+        spare_valid = true;
       }
       if (!have_old) {
+        // Up sites: the buffered old value, free. Recovering with the local
+        // block invalid but readable: its initial zero state.
         Result<BlockRecord> lrec =
-            config_.charge_old_value_read
-                ? SiteOf(home)->store()->Read(Phys(home, row))
-                : SiteOf(home)->store()->Peek(Phys(home, row));
-        if (lrec.ok() && (lrec->uid.valid() || !recovering)) {
-          // Up sites: buffered old value, free unless configured.
-          if (config_.charge_old_value_read) {
-            ChargeRead(client, home, &out.counts);
-          }
-          old_value = std::move(lrec->data);
-          have_old = true;
-        } else if (lrec.ok()) {
-          // Recovering, local invalid-but-readable: initial zero state.
+            SiteOf(home)->store()->Peek(Phys(home, row));
+        if (lrec.ok()) {
           old_value = std::move(lrec->data);
           have_old = true;
         }
@@ -784,24 +563,19 @@ OpResult RaddGroup::DegradedWrite(SiteId client, int home, BlockNum row,
   // Old logical value: the spare if it is valid (free — buffered at the
   // spare site which we are about to write anyway), else reconstructed.
   Block old_value(0);
-  Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, row));
-  if (srec.ok() && srec->uid.valid()) {
-    if (srec->spare_for != home) {
-      if (map_->dual_parity()) {
-        // Double failure: the row's one spare already absorbs writes for
-        // the other dead member. P+Q keeps both members *readable*, but a
-        // second concurrent write stream has nowhere to land.
-        out.status = Status::Blocked(
-            "spare of row " + std::to_string(row) +
-            " already shadows member " + std::to_string(srec->spare_for) +
-            " (double failure); write must wait");
-        stats_.Add("radd.write_blocked_spare_busy");
-        return out;
-      }
-      out.status = Status::Internal("spare shadows a different member");
+  if (std::optional<BlockRecord> spare = ValidSpare(row)) {
+    if (spare->spare_for != home) {
+      // Double failure: the row's one spare already absorbs writes for the
+      // other dead member. A second concurrent write stream has nowhere to
+      // land.
+      out.status = Status::Blocked(
+          "spare of row " + std::to_string(row) + " already shadows member " +
+          std::to_string(spare->spare_for) +
+          " (double failure); write must wait");
+      stats_.Add("radd.write_blocked_spare_busy");
       return out;
     }
-    old_value = std::move(srec->data);
+    old_value = std::move(spare->data);
   } else {
     Result<Reconstructed> recon = Reconstruct(client, home, row, &out.counts);
     if (!recon.ok()) {
@@ -854,14 +628,12 @@ OpResult RaddGroup::DegradedWrite(SiteId client, int home, BlockNum row,
 void RaddGroup::UpdateParity(SiteId issuer, int home, BlockNum row,
                              const ChangeMask& mask, Uid uid,
                              OpCounts* counts) {
-  ApplyParityLeg(issuer, home, row, mask, uid, counts,
-                 static_cast<int>(map_->ParitySite(row)), /*coeff=*/1);
-  if (map_->dual_parity()) {
-    // The Q leg ships the *same* delta; the Q site scales it by the
-    // member's coefficient before folding it in (Q' = Q ^ g^home * delta).
+  // Every leg ships the *same* delta; the Q site scales it by the member's
+  // coefficient before folding it in (Q' = Q ^ g^home * delta).
+  const ParityLegs legs = map_->LegsOf(row);
+  for (int leg = 0; leg < legs.count; ++leg) {
     ApplyParityLeg(issuer, home, row, mask, uid, counts,
-                   static_cast<int>(map_->QParitySite(row)),
-                   GfQCoeff(home));
+                   static_cast<int>(legs[leg]), LegCoeff(leg, home));
   }
 }
 
@@ -906,9 +678,7 @@ void RaddGroup::ApplyParityLeg(SiteId issuer, int home, BlockNum row,
 // ---------------------------------------------------------------------------
 
 Result<OpCounts> RaddGroup::RunRecovery(int home, bool mark_up) {
-  if (home < 0 || home >= num_members()) {
-    return Status::InvalidArgument("no member " + std::to_string(home));
-  }
+  RADD_RETURN_NOT_OK(CheckMember(home));
   Site* site = SiteOf(home);
   if (site->state() != SiteState::kRecovering) {
     return Status::InvalidArgument(
@@ -929,9 +699,7 @@ Result<OpCounts> RaddGroup::RunRecovery(int home, bool mark_up) {
 }
 
 Status RaddGroup::RecoverRow(int home, BlockNum row, OpCounts* counts) {
-  if (home < 0 || home >= num_members()) {
-    return Status::InvalidArgument("no member " + std::to_string(home));
-  }
+  RADD_RETURN_NOT_OK(CheckMember(home));
   if (row >= NumRows()) {
     return Status::InvalidArgument("no row " + std::to_string(row));
   }
@@ -944,32 +712,20 @@ Status RaddGroup::RecoverRow(int home, BlockNum row, OpCounts* counts) {
   switch (role) {
     case BlockRole::kData: {
       int sm = static_cast<int>(map_->SpareSite(row));
-      // Drain a valid spare (lock, copy, invalidate).
-      if (SpareExists(row) && StateOfMember(sm) != SiteState::kDown) {
-        Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, row));
-        if (srec.ok() && srec->uid.valid() && srec->spare_for != home) {
-          if (!map_->dual_parity()) {
-            // Single parity allows one failure at a time, so a valid spare
-            // on this member's row can only be shadowing it.
-            return Status::Internal(
-                "spare of row " + std::to_string(row) +
-                " shadows another member during recovery");
-          }
-          // Double-failure recovery: the spare shadows the episode's
-          // *other* failed member. Leave it for that member's own sweep
-          // and fall through — the decode below reads the shadowed member
-          // through the spare (ReconstructDual's via_spare source).
-        } else if (srec.ok() && srec->uid.valid()) {
-          (void)ReadPhys(sm, row);  // the physical spare read
-          ChargeRead(self, sm, counts);
-          RADD_RETURN_NOT_OK(
-              site->store()->Write(phys, srec->data, srec->logical_uid));
-          ++counts->local_writes;
-          (void)SiteOf(sm)->store()->Invalidate(Phys(sm, row));
-          ChargeWrite(self, sm, counts);  // the invalidate message
-          stats_.Add("radd.recovery_spare_drained");
-          break;
-        }
+      // Drain a valid spare (lock, copy, invalidate). One shadowing the
+      // episode's *other* failed member is left for that member's own
+      // sweep; the decode below reads the shadowed member through it.
+      if (std::optional<BlockRecord> spare = ValidSpare(row);
+          spare && spare->spare_for == home) {
+        (void)ReadPhys(sm, row);  // the physical spare read
+        ChargeRead(self, sm, counts);
+        RADD_RETURN_NOT_OK(
+            site->store()->Write(phys, spare->data, spare->logical_uid));
+        ++counts->local_writes;
+        (void)SiteOf(sm)->store()->Invalidate(Phys(sm, row));
+        ChargeWrite(self, sm, counts);  // the invalidate message
+        stats_.Add("radd.recovery_spare_drained");
+        break;
       }
       // No spare: the local block is either intact (temporary outage —
       // nothing to do) or lost (disk failure / disaster — reconstruct). An
@@ -997,97 +753,30 @@ Status RaddGroup::RecoverRow(int home, BlockNum row, OpCounts* counts) {
       break;
     }
 
+    case BlockRole::kParity:
     case BlockRole::kParityQ:
-      return RebuildParityRow(home, row, counts, /*q_role=*/true);
-
-    case BlockRole::kParity: {
-      if (map_->dual_parity()) {
-        // The dual-mode rebuild is spare- and decode-aware: with a second
-        // member dead it recovers missing data values via Q first.
-        return RebuildParityRow(home, row, counts, /*q_role=*/false);
-      }
-      // Read every data block of the row from the other (up) members;
-      // recompute the parity if the local copy is lost or its UID array
-      // disagrees with the data blocks (updates missed while down).
-      std::vector<SiteId> data_members = map_->DataSites(row);
-      std::vector<BlockRecord> data_recs;
-      data_recs.reserve(data_members.size());
-      bool sources_ok = true;
-      for (SiteId dm : data_members) {
-        int m = static_cast<int>(dm);
-        if (!BlockReadable(m, row)) {
-          sources_ok = false;
-          break;
-        }
-        Result<BlockRecord> rec = ReadPhys(m, row);
-        if (!rec.ok()) {
-          sources_ok = false;
-          break;
-        }
-        ChargeRead(self, m, counts);
-        data_recs.push_back(std::move(rec).value());
-      }
-      if (!sources_ok) {
-        return Status::Blocked(
-            "cannot rebuild parity of row " + std::to_string(row) +
-            ": a data member is unavailable (multiple failures)");
-      }
-
-      Result<BlockRecord> lrec = site->store()->Peek(phys);
-      bool stale = !lrec.ok();
-      if (lrec.ok()) {
-        for (size_t i = 0; i < data_members.size(); ++i) {
-          size_t pos = static_cast<size_t>(data_members[i]);
-          Uid entry = pos < lrec->uid_array.size() ? lrec->uid_array[pos]
-                                                   : Uid();
-          if (entry != data_recs[i].uid) {
-            stale = true;
-            break;
-          }
-        }
-      }
-      if (stale) {
-        BlockRecord prec(config_.block_size);
-        RADD_RETURN_NOT_OK(XorAllInto(
-            &prec.data, data_recs.size(),
-            [&](size_t i) -> const Block& { return data_recs[i].data; }));
-        prec.uid = site->uids()->Next();
-        prec.uid_array.assign(static_cast<size_t>(num_members()), Uid());
-        for (size_t i = 0; i < data_members.size(); ++i) {
-          prec.uid_array[static_cast<size_t>(data_members[i])] =
-              data_recs[i].uid;
-        }
-        RADD_RETURN_NOT_OK(site->store()->WriteRecord(phys, prec));
-        ++counts->local_writes;
-        stats_.Add("radd.recovery_parity_rebuilt");
-      }
-      break;
-    }
+      return RebuildParityRow(home, row, counts,
+                              role == BlockRole::kParityQ ? 1 : 0);
 
     case BlockRole::kNone:
       break;  // handled above
 
     case BlockRole::kSpare: {
-      // A lost spare is simply re-initialized to the invalid state.
+      // A lost spare is simply re-initialized to the invalid state. So is
+      // a stale shadow: the shadowed member recovered while this spare's
+      // own site was down (a double failure), so its sweep could not
+      // drain this record and instead decoded the rows from the
+      // parities — which carry every spare-landed write. The record is
+      // redundant now, and an up member must never stay shadowed.
       Result<BlockRecord> lrec = site->store()->Peek(phys);
-      if (!lrec.ok() && lrec.status().IsDataLoss()) {
+      const bool lost = !lrec.ok() && lrec.status().IsDataLoss();
+      if (lost || (lrec.ok() && lrec->uid.valid() &&
+                   StateOfMember(lrec->spare_for) == SiteState::kUp)) {
         BlockRecord empty(config_.block_size);
         RADD_RETURN_NOT_OK(site->store()->WriteRecord(phys, empty));
         ++counts->local_writes;
-        stats_.Add("radd.recovery_spare_cleared");
-        break;
-      }
-      if (lrec.ok() && lrec->uid.valid() &&
-          StateOfMember(lrec->spare_for) == SiteState::kUp) {
-        // Stale shadow: the shadowed member recovered while this spare's
-        // own site was down (a double failure), so its sweep could not
-        // drain this record and instead decoded the rows from the
-        // parities — which carry every spare-landed write. The record is
-        // redundant now, and an up member must never stay shadowed.
-        BlockRecord empty(config_.block_size);
-        RADD_RETURN_NOT_OK(site->store()->WriteRecord(phys, empty));
-        ++counts->local_writes;
-        stats_.Add("radd.recovery_spare_stale_dropped");
+        stats_.Add(lost ? "radd.recovery_spare_cleared"
+                        : "radd.recovery_spare_stale_dropped");
       }
       break;
     }
@@ -1107,110 +796,80 @@ Status RaddGroup::ReconcileParityLegs(int home, BlockNum row, Uid copy,
     const int pm = static_cast<int>(legs[leg]);
     if (!ParityLegLags(pm, home, row, copy)) continue;
     stats_.Add("radd.recovery_lagging_leg_rebuilt");
-    RADD_RETURN_NOT_OK(RebuildParityRow(pm, row, counts, /*q_role=*/leg == 1));
+    RADD_RETURN_NOT_OK(RebuildParityRow(pm, row, counts, leg));
   }
   return Status::OK();
 }
 
 Status RaddGroup::RebuildParityRow(int home, BlockNum row, OpCounts* counts,
-                                   bool q_role) {
+                                   int leg) {
   Site* site = SiteOf(home);
   const SiteId self = site->id();
   const BlockNum phys = Phys(home, row);
   const int sm = static_cast<int>(map_->SpareSite(row));
-  std::vector<SiteId> data_members = map_->DataSites(row);
+  const std::vector<SiteId> data_members = map_->DataSites(row);
+  const std::optional<BlockRecord> spare = ValidSpare(row);
 
   // Gather each data member's logical value: a valid spare shadowing it
   // wins (it holds writes the member's own copy missed), then the readable
-  // local block, then two-erasure decode via the other parity.
+  // local block, then a decode via the other legs. `data` points into
+  // `values`, reserved up front so no push moves a block.
   std::vector<Block> values;
-  std::vector<Uid> uids;
+  std::vector<RowBlock> data;
   values.reserve(data_members.size());
-  uids.reserve(data_members.size());
+  data.reserve(data_members.size());
   for (SiteId dm_id : data_members) {
-    int dm = static_cast<int>(dm_id);
+    const int dm = static_cast<int>(dm_id);
+    Uid uid;
     bool have = false;
-    if (SpareExists(row) && StateOfMember(sm) != SiteState::kDown) {
-      Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, row));
-      if (srec.ok() && srec->uid.valid() && srec->spare_for == dm) {
-        (void)ReadPhys(sm, row);  // the physical spare read
-        ChargeRead(self, sm, counts);
-        values.push_back(std::move(srec->data));
-        uids.push_back(srec->logical_uid);
-        have = true;
-      }
-    }
-    if (!have && BlockReadable(dm, row)) {
+    if (spare && spare->spare_for == dm) {
+      (void)ReadPhys(sm, row);  // the physical spare read
+      ChargeRead(self, sm, counts);
+      values.push_back(spare->data);
+      uid = spare->logical_uid;
+      have = true;
+    } else if (BlockReadable(dm, row)) {
       Result<BlockRecord> rec = ReadPhys(dm, row);
       if (rec.ok()) {
         ChargeRead(self, dm, counts);
-        uids.push_back(rec->uid);
         values.push_back(std::move(rec->data));
+        uid = rec->uid;
         have = true;
       }
     }
     if (!have) {
-      // Decode the missing member via the surviving parity and the other
-      // data blocks; Reconstruct refuses (Blocked) at three erasures and
-      // the sweeper retries the row later.
+      // Decode the missing member via the surviving legs and the other
+      // data blocks; Reconstruct refuses (Blocked) past the legs' reach
+      // and the sweeper retries the row later.
       Result<Reconstructed> recon = Reconstruct(self, dm, row, counts);
       if (!recon.ok()) {
         if (recon.status().IsBlocked()) return recon.status();
         return Status::Blocked("cannot rebuild " +
-                               std::string(q_role ? "Q parity" : "parity") +
+                               std::string(leg == 1 ? "Q parity" : "parity") +
                                " of row " + std::to_string(row) +
                                ": member " + std::to_string(dm) +
                                " undecodable: " + recon.status().ToString());
       }
       values.push_back(std::move(recon->data));
-      uids.push_back(recon->logical_uid);
+      uid = recon->logical_uid;
     }
+    data.push_back({dm, uid, &values.back()});
   }
 
   // Recompute only when the local copy is lost or its UID array disagrees
   // with the gathered logical UIDs (updates missed while down).
   Result<BlockRecord> lrec = site->store()->Peek(phys);
-  bool stale = !lrec.ok();
-  if (lrec.ok()) {
-    for (size_t i = 0; i < data_members.size(); ++i) {
-      size_t pos = static_cast<size_t>(data_members[i]);
-      Uid entry =
-          pos < lrec->uid_array.size() ? lrec->uid_array[pos] : Uid();
-      if (entry != uids[i]) {
-        stale = true;
-        break;
-      }
-    }
-  }
-  if (!stale) return Status::OK();
+  if (lrec.ok() && ArrayNames(lrec->uid_array, data)) return Status::OK();
 
   BlockRecord prec(config_.block_size);
-  for (size_t i = 0; i < data_members.size(); ++i) {
-    uint8_t c =
-        q_role ? GfQCoeff(static_cast<int>(data_members[i])) : uint8_t{1};
-    RADD_RETURN_NOT_OK(GfMulAddInto(&prec.data, values[i], c));
-  }
+  RADD_RETURN_NOT_OK(EncodeLeg(leg, data, &prec.data));
   prec.uid = site->uids()->Next();
-  prec.uid_array.assign(static_cast<size_t>(num_members()), Uid());
-  for (size_t i = 0; i < data_members.size(); ++i) {
-    prec.uid_array[static_cast<size_t>(data_members[i])] = uids[i];
-  }
+  prec.uid_array = EncodeArray(data, static_cast<size_t>(num_members()));
   RADD_RETURN_NOT_OK(site->store()->WriteRecord(phys, prec));
   ++counts->local_writes;
-  stats_.Add(q_role ? "radd.recovery_q_rebuilt"
-                    : "radd.recovery_parity_rebuilt");
+  stats_.Add(leg == 1 ? "radd.recovery_q_rebuilt"
+                      : "radd.recovery_parity_rebuilt");
   return Status::OK();
-}
-
-bool RaddGroup::ParityEntrySupersedes(int home, BlockNum row,
-                                      Uid local) const {
-  const int pm = static_cast<int>(map_->ParitySite(row));
-  if (ParityMemberSupersedes(pm, home, row, local)) return true;
-  if (map_->dual_parity()) {
-    const int qm = static_cast<int>(map_->QParitySite(row));
-    if (ParityMemberSupersedes(qm, home, row, local)) return true;
-  }
-  return false;
 }
 
 std::optional<Uid> RaddGroup::ParityEntry(int pm, int home,
@@ -1218,8 +877,7 @@ std::optional<Uid> RaddGroup::ParityEntry(int pm, int home,
   if (StateOfMember(pm) != SiteState::kUp) return std::nullopt;
   Result<BlockRecord> prec = SiteOf(pm)->store()->Peek(Phys(pm, row));
   if (!prec.ok()) return std::nullopt;
-  const size_t pos = static_cast<size_t>(home);
-  return pos < prec->uid_array.size() ? prec->uid_array[pos] : Uid();
+  return ArrayEntry(prec->uid_array, home);
 }
 
 bool RaddGroup::ParityLegLags(int pm, int home, BlockNum row,
@@ -1238,31 +896,34 @@ bool RaddGroup::ParityLagsCopy(int home, BlockNum row, Uid local) const {
   return false;
 }
 
-bool RaddGroup::ParityMemberSupersedes(int pm, int home, BlockNum row,
-                                       Uid local) const {
-  // §3.3: the parity block's UID array is the authority on which writes a
-  // row has accepted. A data copy whose UID disagrees with (and does not
-  // postdate) the array entry missed an update — e.g. it was rebuilt from
+bool RaddGroup::ParityEntrySupersedes(int home, BlockNum row,
+                                      Uid local) const {
+  // §3.3: a parity leg's UID array is the authority on which writes a row
+  // has accepted. A data copy whose UID disagrees with (and does not
+  // postdate) a leg's entry missed an update — e.g. it was rebuilt from
   // the parity before an in-flight delta for the same row landed.
-  const std::optional<Uid> entry = ParityEntry(pm, home, row);
-  if (!entry || !entry->valid() || *entry == local) return false;
-  if (!local.valid()) return true;
-  if (entry->site() == local.site()) {
+  const ParityLegs legs = map_->LegsOf(row);
+  for (int leg = 0; leg < legs.count; ++leg) {
+    const std::optional<Uid> entry =
+        ParityEntry(static_cast<int>(legs[leg]), home, row);
+    if (!entry || !entry->valid() || *entry == local) continue;
+    if (!local.valid()) return true;
     // Same generator: sequences order the writes. A local copy newer than
-    // the entry holds an update the parity missed — keep it; the parity
-    // is rebuilt from the data (its own recovery, or ReconcileParityLegs).
-    return entry->sequence() > local.sequence();
+    // the entry holds an update the leg missed — keep it; the leg is
+    // rebuilt from the data (its own recovery, or ReconcileParityLegs).
+    // Cross-site disagreement: the leg accepted a write (e.g. a degraded
+    // write through the spare) this copy never held.
+    if (entry->site() != local.site() ||
+        entry->sequence() > local.sequence()) {
+      return true;
+    }
   }
-  // Cross-site disagreement: the parity accepted a write (e.g. a degraded
-  // write through the spare) this copy never held.
-  return true;
+  return false;
 }
 
 Result<BlockNum> RaddGroup::FirstUnrecoveredRow(int home,
                                                 BlockNum from) const {
-  if (home < 0 || home >= num_members()) {
-    return Status::InvalidArgument("no member " + std::to_string(home));
-  }
+  RADD_RETURN_NOT_OK(CheckMember(home));
   const Site* site = SiteOf(home);
   const BlockNum rows = NumRows();
   for (BlockNum row = from; row < rows; ++row) {
@@ -1274,13 +935,8 @@ Result<BlockNum> RaddGroup::FirstUnrecoveredRow(int home,
       // A valid spare shadowing this member must be drained before MarkUp:
       // a spare shadowing an up member violates the group invariant, and
       // the writes it holds would be lost to readers going to the home.
-      int sm = static_cast<int>(map_->SpareSite(row));
-      if (SpareExists(row) && StateOfMember(sm) != SiteState::kDown) {
-        Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, row));
-        if (srec.ok() && srec->uid.valid() && srec->spare_for == home) {
-          return row;
-        }
-      }
+      std::optional<BlockRecord> spare = ValidSpare(row);
+      if (spare && spare->spare_for == home) return row;
     }
     Result<BlockRecord> lrec = site->store()->Peek(phys);
     if (!lrec.ok() && lrec.status().IsDataLoss()) return row;
@@ -1294,10 +950,7 @@ Result<BlockNum> RaddGroup::FirstUnrecoveredRow(int home,
 }
 
 Result<int> RaddGroup::ScrubParity(int parity_member) {
-  if (parity_member < 0 || parity_member >= num_members()) {
-    return Status::InvalidArgument("no member " +
-                                   std::to_string(parity_member));
-  }
+  RADD_RETURN_NOT_OK(CheckMember(parity_member));
   if (StateOfMember(parity_member) != SiteState::kUp) {
     return Status::InvalidArgument("scrub requires the site to be up");
   }
@@ -1311,12 +964,12 @@ Result<int> RaddGroup::ScrubParity(int parity_member) {
     if (role != BlockRole::kParity && role != BlockRole::kParityQ) {
       continue;
     }
-    // Q rows sum g^m-weighted data; P rows are the plain XOR (c == 1).
-    const bool q_role = role == BlockRole::kParityQ;
     // Collect the row's data blocks; skip rows with unreadable members
     // (degraded rows belong to the recovery sweep, not the scrubber).
     std::vector<SiteId> data_members = map_->DataSites(row);
     std::vector<BlockRecord> recs;
+    recs.reserve(data_members.size());
+    std::vector<RowBlock> data;
     bool auditable = true;
     for (SiteId dm : data_members) {
       int m = static_cast<int>(dm);
@@ -1330,54 +983,25 @@ Result<int> RaddGroup::ScrubParity(int parity_member) {
         break;
       }
       recs.push_back(std::move(rec).value());
+      data.push_back({m, recs.back().uid, &recs.back().data});
     }
-    int sm = static_cast<int>(map_->SpareSite(row));
-    if (auditable && SpareExists(row) &&
-        StateOfMember(sm) != SiteState::kDown) {
-      Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, row));
-      if (srec.ok() && srec->uid.valid()) auditable = false;  // degraded row
-    }
+    if (auditable && ValidSpare(row)) auditable = false;  // degraded row
     if (!auditable) {
       stats_.Add("radd.scrub_skipped");
       continue;
     }
 
-    Result<BlockRecord> prec = site->store()->Peek(Phys(parity_member, row));
-    bool mismatch = !prec.ok();
-    if (prec.ok()) {
-      Block expected(config_.block_size);
-      for (size_t i = 0; i < recs.size(); ++i) {
-        uint8_t c = q_role ? GfQCoeff(static_cast<int>(data_members[i]))
-                           : uint8_t{1};
-        RADD_RETURN_NOT_OK(GfMulAddInto(&expected, recs[i].data, c));
-      }
-      if (expected != prec->data) {
-        mismatch = true;
-      } else {
-        for (size_t i = 0; i < data_members.size(); ++i) {
-          size_t pos = static_cast<size_t>(data_members[i]);
-          Uid entry =
-              pos < prec->uid_array.size() ? prec->uid_array[pos] : Uid();
-          if (entry != recs[i].uid) {
-            mismatch = true;
-            break;
-          }
-        }
-      }
-    }
-    if (!mismatch) continue;
-
+    // Q rows sum g^m-weighted data; P rows are the plain XOR.
+    const int leg = role == BlockRole::kParityQ ? 1 : 0;
     BlockRecord fresh(config_.block_size);
-    for (size_t i = 0; i < recs.size(); ++i) {
-      uint8_t c = q_role ? GfQCoeff(static_cast<int>(data_members[i]))
-                         : uint8_t{1};
-      RADD_RETURN_NOT_OK(GfMulAddInto(&fresh.data, recs[i].data, c));
+    RADD_RETURN_NOT_OK(EncodeLeg(leg, data, &fresh.data));
+    Result<BlockRecord> prec = site->store()->Peek(Phys(parity_member, row));
+    if (prec.ok() && fresh.data == prec->data &&
+        ArrayNames(prec->uid_array, data)) {
+      continue;
     }
     fresh.uid = site->uids()->Next();
-    fresh.uid_array.assign(static_cast<size_t>(num_members()), Uid());
-    for (size_t i = 0; i < data_members.size(); ++i) {
-      fresh.uid_array[static_cast<size_t>(data_members[i])] = recs[i].uid;
-    }
+    fresh.uid_array = EncodeArray(data, static_cast<size_t>(num_members()));
     RADD_RETURN_NOT_OK(
         site->store()->WriteRecord(Phys(parity_member, row), fresh));
     ++repaired;
@@ -1387,10 +1011,7 @@ Result<int> RaddGroup::ScrubParity(int parity_member) {
 }
 
 Result<int> RaddGroup::ScrubData(int data_member) {
-  if (data_member < 0 || data_member >= num_members()) {
-    return Status::InvalidArgument("no member " +
-                                   std::to_string(data_member));
-  }
+  RADD_RETURN_NOT_OK(CheckMember(data_member));
   if (StateOfMember(data_member) != SiteState::kUp) {
     return Status::InvalidArgument("scrub requires the site to be up");
   }
@@ -1431,105 +1052,87 @@ Result<int> RaddGroup::ScrubData(int data_member) {
 Status RaddGroup::VerifyInvariants() const {
   const BlockNum rows = NumRows();
   for (BlockNum row = 0; row < rows; ++row) {
-    const int pm = static_cast<int>(map_->ParitySite(row));
+    const ParityLegs legs = map_->LegsOf(row);
     const int sm = static_cast<int>(map_->SpareSite(row));
-    const int qm = map_->dual_parity()
-                       ? static_cast<int>(map_->QParitySite(row))
-                       : -1;
 
-    // Parity copies with up sites and readable blocks are audited; the
-    // rest are pending recompute. A row with neither is skipped.
-    std::optional<BlockRecord> prec;
-    if (StateOfMember(pm) == SiteState::kUp) {
+    // Legs with up sites and readable blocks are audited; the rest are
+    // pending recompute. A row with none is skipped.
+    std::array<std::optional<BlockRecord>, 2> leg_recs;
+    bool audited = false;
+    for (int leg = 0; leg < legs.count; ++leg) {
+      const int pm = static_cast<int>(legs[leg]);
+      if (StateOfMember(pm) != SiteState::kUp) continue;
       Result<BlockRecord> r = SiteOf(pm)->store()->Peek(Phys(pm, row));
-      if (r.ok()) prec = std::move(r).value();
+      if (!r.ok()) continue;
+      leg_recs[static_cast<size_t>(leg)] = std::move(r).value();
+      audited = true;
     }
-    std::optional<BlockRecord> qrec;
-    if (qm >= 0 && StateOfMember(qm) == SiteState::kUp) {
-      Result<BlockRecord> r = SiteOf(qm)->store()->Peek(Phys(qm, row));
-      if (r.ok()) qrec = std::move(r).value();
-    }
-    if (!prec && !qrec) continue;
+    if (!audited) continue;
 
-    Block expected(config_.block_size);    // XOR of logical values (P)
-    Block expected_q(config_.block_size);  // GF(256) sum (Q, dual mode)
+    // Logical values: a valid spare shadowing a member wins; otherwise the
+    // member's physical block (peeked directly — simulator's privilege —
+    // even if the site is down).
+    std::optional<BlockRecord> spare;
+    if (SpareExists(row)) {
+      Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, row));
+      if (srec.ok() && srec->uid.valid()) spare = std::move(srec).value();
+    }
+    const std::vector<SiteId> data_members = map_->DataSites(row);
+    std::vector<BlockRecord> recs;
+    recs.reserve(data_members.size());
+    std::vector<RowBlock> data;
     bool verifiable = true;
-    for (SiteId dm_id : map_->DataSites(row)) {
-      int dm = static_cast<int>(dm_id);
-      // Logical value: a valid spare shadowing this member wins; otherwise
-      // the member's physical block (peeked directly — simulator's
-      // privilege — even if the site is down).
-      Result<BlockRecord> srec =
-          SpareExists(row) ? SiteOf(sm)->store()->Peek(Phys(sm, row))
-                           : Result<BlockRecord>(
-                                 Status::NotFound("no spare for row"));
-      bool shadowed = srec.ok() && srec->uid.valid() &&
-                      srec->spare_for == dm;
-      Uid expected_uid;
-      // `value` must outlive both accumulations below, so the record it
-      // points into is declared at this scope.
-      Result<BlockRecord> lrec = Status::NotFound("unread");
-      const Block* value = nullptr;
+    for (SiteId dm_id : data_members) {
+      const int dm = static_cast<int>(dm_id);
+      const bool shadowed = spare && spare->spare_for == dm;
       if (shadowed) {
-        value = &srec->data;
-        expected_uid = srec->logical_uid;
         if (StateOfMember(dm) == SiteState::kUp) {
           return Status::Internal(
               "row " + std::to_string(row) + ": spare shadows member " +
               std::to_string(dm) + " whose site is up");
         }
-        RADD_RETURN_NOT_OK(expected.XorWith(*value));
+        data.push_back({dm, spare->logical_uid, &spare->data});
       } else {
-        lrec = SiteOf(dm)->store()->Peek(Phys(dm, row));
+        Result<BlockRecord> lrec = SiteOf(dm)->store()->Peek(Phys(dm, row));
         if (!lrec.ok()) {
           verifiable = false;  // lost block pending reconstruction
           break;
         }
-        value = &lrec->data;
-        expected_uid = lrec->uid;
-        RADD_RETURN_NOT_OK(expected.XorWith(*value));
-      }
-      if (qm >= 0) {
-        RADD_RETURN_NOT_OK(GfMulAddInto(&expected_q, *value, GfQCoeff(dm)));
+        recs.push_back(std::move(lrec).value());
+        data.push_back({dm, recs.back().uid, &recs.back().data});
       }
       // UID-array agreement (only meaningful for up members; down /
       // recovering members may legitimately lag).
-      if (StateOfMember(dm) == SiteState::kUp || shadowed) {
-        size_t pos = static_cast<size_t>(dm);
-        if (prec) {
-          Uid entry =
-              pos < prec->uid_array.size() ? prec->uid_array[pos] : Uid();
-          if (entry != expected_uid) {
-            return Status::Internal(
-                "row " + std::to_string(row) +
-                ": UID array entry for member " + std::to_string(dm) +
-                " is " + entry.ToString() + ", expected " +
-                expected_uid.ToString());
-          }
-        }
-        if (qrec) {
-          Uid entry =
-              pos < qrec->uid_array.size() ? qrec->uid_array[pos] : Uid();
-          if (entry != expected_uid) {
-            return Status::Internal(
-                "row " + std::to_string(row) +
-                ": Q UID array entry for member " + std::to_string(dm) +
-                " is " + entry.ToString() + ", expected " +
-                expected_uid.ToString());
-          }
+      if (StateOfMember(dm) != SiteState::kUp && !shadowed) continue;
+      for (int leg = 0; leg < legs.count; ++leg) {
+        const std::optional<BlockRecord>& rec =
+            leg_recs[static_cast<size_t>(leg)];
+        if (!rec) continue;
+        const Uid entry = ArrayEntry(rec->uid_array, dm);
+        if (entry != data.back().uid) {
+          return Status::Internal(
+              "row " + std::to_string(row) + ": " +
+              (leg == 1 ? "Q " : "") + "UID array entry for member " +
+              std::to_string(dm) + " is " + entry.ToString() +
+              ", expected " + data.back().uid.ToString());
         }
       }
     }
     if (!verifiable) continue;
-    if (prec && expected != prec->data) {
-      return Status::Internal("row " + std::to_string(row) +
-                              ": parity does not equal XOR of logical data "
-                              "values");
-    }
-    if (qrec && expected_q != qrec->data) {
-      return Status::Internal("row " + std::to_string(row) +
-                              ": Q parity does not equal the GF(256) sum of "
-                              "logical data values");
+    for (int leg = 0; leg < legs.count; ++leg) {
+      const std::optional<BlockRecord>& rec =
+          leg_recs[static_cast<size_t>(leg)];
+      if (!rec) continue;
+      Block expected(config_.block_size);
+      RADD_RETURN_NOT_OK(EncodeLeg(leg, data, &expected));
+      if (expected != rec->data) {
+        return Status::Internal(
+            "row " + std::to_string(row) +
+            (leg == 1 ? ": Q parity does not equal the GF(256) sum of "
+                        "logical data values"
+                      : ": parity does not equal XOR of logical data "
+                        "values"));
+      }
     }
   }
   return Status::OK();
@@ -1660,10 +1263,7 @@ bool RaddGroup::TryApplyMove(int new_member, const PlacementMove& mv) {
           if (StateOfMember(m) != SiteState::kUp) return false;
           Result<BlockRecord> drec = SiteOf(m)->store()->Peek(Phys(m, mv.row));
           if (!drec.ok()) return false;
-          const size_t pos = static_cast<size_t>(m);
-          const Uid entry =
-              pos < prow->uid_array.size() ? prow->uid_array[pos] : Uid();
-          if (entry != drec->uid) return false;
+          if (ArrayEntry(prow->uid_array, m) != drec->uid) return false;
         }
       }
       BlockRecord empty(config_.block_size);
@@ -1691,17 +1291,10 @@ bool RaddGroup::TryApplyMove(int new_member, const PlacementMove& mv) {
     if (StateOfMember(pm) != SiteState::kUp) return false;
     Result<BlockRecord> prec = SiteOf(pm)->store()->Peek(Phys(pm, mv.row));
     if (!prec.ok()) return false;
-    const size_t dpos = static_cast<size_t>(mv.donor);
-    const Uid entry =
-        dpos < prec->uid_array.size() ? prec->uid_array[dpos] : Uid();
+    const Uid entry = ArrayEntry(prec->uid_array, mv.donor);
     if (entry != rec->uid) return false;
-    const int sm = static_cast<int>(map_->SpareSite(mv.row));
-    if (SpareExists(mv.row) && StateOfMember(sm) != SiteState::kDown) {
-      Result<BlockRecord> srec = SiteOf(sm)->store()->Peek(Phys(sm, mv.row));
-      if (srec.ok() && srec->uid.valid() && srec->spare_for == mv.donor) {
-        return false;
-      }
-    }
+    std::optional<BlockRecord> spare = ValidSpare(mv.row);
+    if (spare && spare->spare_for == mv.donor) return false;
     fixed_parity = std::move(prec).value();
     if (fixed_parity->uid_array.size() <
         static_cast<size_t>(num_members())) {
@@ -1709,7 +1302,7 @@ bool RaddGroup::TryApplyMove(int new_member, const PlacementMove& mv) {
                                      Uid());
     }
     fixed_parity->uid_array[static_cast<size_t>(new_member)] = entry;
-    fixed_parity->uid_array[dpos] = Uid();
+    fixed_parity->uid_array[static_cast<size_t>(mv.donor)] = Uid();
   }
 
   // The copy, the zeroing of the freed address (which becomes the donor's

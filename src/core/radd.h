@@ -1,9 +1,11 @@
 // RaddGroup — the paper's RADD algorithms (§3) over one group of
 // G + 1 + parities sites (G + 2 for the paper's single parity, G + 3 for
 // the P+Q double-failure scheme), in a synchronous (direct-call) form
-// with exact accounting of
-// Table-1 operations. The message-driven protocol implementation that runs
-// the same algorithms over the simulated network lives in core/node.h.
+// with exact accounting of Table-1 operations. The message-driven protocol
+// implementation that runs the same algorithms over the simulated network
+// lives in core/node.h. Both engines decode, validate and encode rows
+// through one codec (core/row_code.h), in which single parity is the
+// one-leg case of P+Q: every path loops over the row's parity legs.
 //
 // The group is described by a member list: member m of the group is a
 // LogicalDrive (site + block offset), so the same class serves both the
@@ -16,8 +18,7 @@
 //     at any other site it costs RR / RW.
 //   * Reading the *old* value of a block immediately before overwriting it
 //     at the same site is free (the paper's "careful buffering of the old
-//     data block can remove one of the reads"); set
-//     RaddConfig::charge_old_value_read to charge it instead.
+//     data block can remove one of the reads").
 //   * Asynchronous side effects — materializing a reconstructed value into
 //     the spare, invalidating a spare after a recovering-site access — are
 //     recorded in stats() but not charged to the triggering operation's
@@ -61,9 +62,6 @@ struct RaddConfig {
   /// Ship parity updates as encoded change masks (§7.4) instead of full
   /// blocks. Affects byte accounting only; semantics are identical.
   bool use_change_masks = true;
-  /// Charge the read of a block's old value before overwrite (off = the
-  /// paper's buffered model).
-  bool charge_old_value_read = false;
   /// Attempts for UID-validated reconstruction before giving up with
   /// Inconsistent (§3.3 "the read was not consistent and must be retried").
   int max_reconstruct_attempts = 3;
@@ -82,7 +80,9 @@ struct RaddConfig {
   /// fraction of rows carry a usable spare (spread evenly, Bresenham
   /// style). Rows without one cannot absorb writes while their home is
   /// down (the write blocks) and degraded reads always pay full
-  /// reconstruction. Space overhead becomes (1 + fraction) / G.
+  /// reconstruction. Space overhead becomes (1 + fraction) / G. The
+  /// synchronous RaddGroup only: the protocol (RaddNodeSystem, RaddVolume)
+  /// keeps a spare in every row and refuses any other value.
   double spare_fraction = 1.0;
 };
 
@@ -99,7 +99,8 @@ struct OpResult {
   bool ok() const { return status.ok(); }
 };
 
-/// One RADD group: G + 2 members on distinct sites of a Cluster.
+/// One RADD group: G + 1 + parities members on distinct sites of a
+/// Cluster.
 class RaddGroup {
  public:
   /// Identity group: member m is site m with offset 0. The cluster must
@@ -204,8 +205,8 @@ class RaddGroup {
   Result<int> ScrubData(int data_member);
 
   /// Checks the group's global invariants; used by property tests.
-  ///   * parity row contents == XOR of the logical values of its G data
-  ///     blocks (skipped when the parity site is not up);
+  ///   * each parity leg == its encoding of the logical values of the
+  ///     row's G data blocks (skipped when the leg's site is not up);
   ///   * each up data block's UID matches the parity UID array entry;
   ///   * valid spares shadow only blocks of non-up members.
   Status VerifyInvariants() const;
@@ -245,6 +246,10 @@ class RaddGroup {
 
  private:
   // --- addressing -------------------------------------------------------
+  /// InvalidArgument unless `m` names a member.
+  Status CheckMember(int m) const;
+  /// InvalidArgument unless `home` is a member with data block `data_index`.
+  Status CheckDataAddress(int home, BlockNum data_index) const;
   /// Flat physical block number on member m's site for row r. Only valid
   /// when m participates in the row (RoleOf != kNone).
   BlockNum Phys(int m, BlockNum row) const {
@@ -257,15 +262,11 @@ class RaddGroup {
   /// recovering and the block is not lost to a disk failure).
   bool BlockReadable(int m, BlockNum row) const;
 
-  /// §3.3: true when a parity row's UID array records a write for
-  /// `home` that `local` does not carry and does not postdate — the local
-  /// copy missed an update and must be reconstructed from the parity. In
-  /// dual-parity mode both P's and Q's arrays are consulted; either one
-  /// superseding marks the copy stale.
+  /// §3.3: true when a parity leg's UID array records a write for `home`
+  /// that `local` does not carry and does not postdate — the local copy
+  /// missed an update and must be reconstructed from the parity. Every leg
+  /// with authority is consulted; any one superseding marks the copy stale.
   bool ParityEntrySupersedes(int home, BlockNum row, Uid local) const;
-  /// The per-parity-member half of ParityEntrySupersedes.
-  bool ParityMemberSupersedes(int pm, int home, BlockNum row,
-                              Uid local) const;
   /// Parity member `pm`'s UID-array entry for `home` in `row`; nullopt
   /// when the parity has no authority (site not up, block unreadable).
   std::optional<Uid> ParityEntry(int pm, int home, BlockNum row) const;
@@ -287,6 +288,9 @@ class RaddGroup {
 
   /// §7.2 spare thinning: whether `row` has a spare block at all.
   bool SpareExists(BlockNum row) const;
+  /// The record of `row`'s spare while it shadows a member: the row has a
+  /// spare, its site is not down, and the block reads with a valid UID.
+  std::optional<BlockRecord> ValidSpare(BlockNum row) const;
 
   // --- accounting -------------------------------------------------------
   void ChargeRead(SiteId client, int target_member, OpCounts* c) const;
@@ -297,23 +301,21 @@ class RaddGroup {
   /// full record. Fails with DataLoss/Unavailable as appropriate.
   Result<BlockRecord> ReadPhys(int m, BlockNum row) const;
 
-  /// Formula (2) reconstruction of member `home`'s block in `row`, with
-  /// §3.3 UID validation against the parity block's UID array. On success
-  /// also reports the parity array entry for `home` (the logical UID of
-  /// the reconstructed value). Charges G reads into `counts`. In
-  /// dual-parity mode this dispatches to the two-erasure GF(256) decoder.
+  /// Formula (2) reconstruction of member `home`'s block in `row` through
+  /// the row codec, with §3.3 UID validation against each planned leg's
+  /// UID array. Tolerates `home` plus as many more data erasures as the row
+  /// has legs beyond the first. A leg decodes only while its site is up (a
+  /// recovering parity has no authority until swept); a valid spare
+  /// shadowing another data member stands in for its local copy. On
+  /// success also reports the legs' array entry for `home` (the logical
+  /// UID of the reconstructed value). Charges each block read into
+  /// `counts`.
   struct Reconstructed {
     Block data{0};
     Uid logical_uid;
   };
   Result<Reconstructed> Reconstruct(SiteId client, int home, BlockNum row,
                                     OpCounts* counts);
-  /// The P+Q decoder: tolerates `home` plus one more erasure among
-  /// {data members, P, Q}. Parity blocks at non-up sites are treated as
-  /// erased (a recovering parity has no authority until swept); a valid
-  /// spare shadowing a data member stands in for its local copy.
-  Result<Reconstructed> ReconstructDual(SiteId client, int home, BlockNum row,
-                                        OpCounts* counts);
 
   /// Applies a parity delta for member `home`'s block in `row` (steps
   /// W2-W4). `issuer` is the site sending the W3 message (the home site
@@ -329,12 +331,11 @@ class RaddGroup {
                       const ChangeMask& mask, Uid uid, OpCounts* counts,
                       int pm, uint8_t coeff);
 
-  /// Dual-parity recovery of a P or Q row: gathers every data member's
-  /// logical value (spare shadow, local block, or decode via the other
-  /// parity) and rebuilds the row when lost or stale. `q_role` selects the
-  /// GF(256) Q sum over the plain XOR.
-  Status RebuildParityRow(int home, BlockNum row, OpCounts* counts,
-                          bool q_role);
+  /// Recovery of parity leg `leg` (0 = P, 1 = Q) of `row`, hosted by
+  /// member `home`: gathers every data member's logical value (spare
+  /// shadow, local block, or decode via the other legs) and re-encodes the
+  /// leg when it is lost or its UID array is stale.
+  Status RebuildParityRow(int home, BlockNum row, OpCounts* counts, int leg);
 
   /// The degraded (home down / block lost) read path.
   OpResult DegradedRead(SiteId client, int home, BlockNum row);

@@ -13,6 +13,10 @@ Result<std::unique_ptr<RaddVolume>> RaddVolume::Create(
   if (config.drives_per_site.empty()) {
     return Status::InvalidArgument("volume has no drives");
   }
+  if (config.group.spare_fraction != 1.0) {
+    return Status::InvalidArgument(
+        "the protocol keeps a spare in every row (spare_fraction must be 1)");
+  }
   const BlockNum rows = config.group.rows;
   std::vector<BlockNum> blocks_per_site(config.drives_per_site.size());
   for (size_t j = 0; j < config.drives_per_site.size(); ++j) {

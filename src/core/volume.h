@@ -46,6 +46,8 @@ class RaddVolume {
   /// Runs the §4 assignment and validates every produced member list
   /// against the cluster (distinct sites, row counts, disk windows);
   /// fails with InvalidArgument instead of constructing a partial volume.
+  /// A `spare_fraction` other than 1 is refused the same way: the protocol
+  /// keeps a spare in every row.
   static Result<std::unique_ptr<RaddVolume>> Create(Simulator* sim,
                                                     Network* net,
                                                     Cluster* cluster,

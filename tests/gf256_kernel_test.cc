@@ -1,16 +1,19 @@
 // The GF(256) word-at-a-time kernels against byte-wise table references,
 // at awkward sizes and alignments (mirroring block_kernel_test.cc), plus
 // field axioms and P+Q encode/decode round trips for every 2-erasure
-// pattern: {data, data}, {data, P}, {data, Q}, {P, Q}.
+// pattern: {data, data}, {data, P}, {data, Q}, {P, Q}; then the row codec
+// both RADD engines decode through, against that reference.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "common/block.h"
 #include "common/gf256.h"
 #include "common/rng.h"
+#include "core/row_code.h"
 
 namespace radd {
 namespace {
@@ -182,7 +185,8 @@ TEST(Gf256Kernel, MulAddDistributesOverXor) {
 // --- P+Q encode/decode round trips -----------------------------------------
 
 /// A miniature P+Q codec over G data blocks with member coefficients
-/// g^m, exercising the same algebra RaddGroup::ReconstructDual uses.
+/// g^m: the independent reference the row codec (core/row_code.h) is
+/// checked against below.
 struct PqCode {
   std::vector<Block> data;
   Block p{0};
@@ -310,6 +314,203 @@ TEST(PqRoundTrip, HighMemberIndicesStayInvertible) {
     for (int b = a + 1; b < 64; ++b) {
       EXPECT_NE(GfQCoeff(a) ^ GfQCoeff(b), 0) << "a=" << a << " b=" << b;
     }
+  }
+}
+
+// --- the row codec against PqCode ------------------------------------------
+
+/// One row for the codec: G data blocks (members 0..G-1) with the legs'
+/// arrays naming each member's UID, and the reference encoding.
+struct CodecRow {
+  std::vector<Block> d;
+  std::vector<Uid> uids;
+  PqCode code;
+
+  CodecRow(int g, size_t n, Rng* rng) {
+    for (int m = 0; m < g; ++m) {
+      d.push_back(RandomBlock(n, rng));
+      uids.push_back(Uid::Make(1, static_cast<uint64_t>(m) + 1));
+    }
+    code = PqCode::Encode(d);
+  }
+
+  /// The blocks a decode of `home` reads with `lost` (or -1) erased too,
+  /// and each leg of `plan`.
+  RowRead Read(const RowPlan& plan, int home, int lost) const {
+    RowRead read;
+    for (int m = 0; m < static_cast<int>(d.size()); ++m) {
+      if (m == home || m == lost) continue;
+      read.data.push_back({m, uids[static_cast<size_t>(m)],
+                           &d[static_cast<size_t>(m)]});
+    }
+    if (plan.use[0]) read.legs[0] = {&code.p, &uids};
+    if (plan.use[1]) read.legs[1] = {&code.q, &uids};
+    return read;
+  }
+};
+
+std::vector<SiteId> Members(int g) {
+  std::vector<SiteId> out;
+  for (int m = 0; m < g; ++m) out.push_back(static_cast<SiteId>(m));
+  return out;
+}
+
+/// Plans, checks and decodes `home` with `lost` erased too; nullopt when
+/// the plan is Blocked.
+std::optional<Block> Decode(const CodecRow& row, int home, int lost,
+                            const std::array<bool, 2>& usable,
+                            RowPlan* plan_out = nullptr) {
+  std::vector<int> erased;
+  if (lost >= 0) erased.push_back(lost);
+  Result<RowPlan> plan = PlanDecode(home, erased, usable);
+  if (!plan.ok()) {
+    EXPECT_TRUE(plan.status().IsBlocked()) << plan.status().ToString();
+    return std::nullopt;
+  }
+  if (plan_out != nullptr) *plan_out = *plan;
+  RowRead read = row.Read(*plan, home, lost);
+  const std::vector<SiteId> members =
+      Members(static_cast<int>(row.d.size()));
+  EXPECT_TRUE(CheckRow(*plan, read, members));
+  EXPECT_EQ(DecodedUid(*plan, read), row.uids[static_cast<size_t>(home)]);
+  Block out(row.d[0].size());
+  EXPECT_TRUE(DecodeRow(*plan, read, &out).ok());
+  return out;
+}
+
+TEST(RowCode, DecodesEverySingleAndDoubleErasureLikePqCode) {
+  Rng rng(41);
+  for (int legs : {1, 2}) {
+    for (int g : {1, 4, 8}) {
+      for (size_t n : {size_t{1}, size_t{65}, size_t{4097}}) {
+        CodecRow row(g, n, &rng);
+        const std::array<bool, 2> both{true, legs == 2};
+        for (int a = 0; a < g; ++a) {
+          const size_t ua = static_cast<size_t>(a);
+          // {a}: P decodes it, formula (2).
+          RowPlan plan;
+          std::optional<Block> got = Decode(row, a, -1, both, &plan);
+          ASSERT_TRUE(got.has_value());
+          EXPECT_TRUE(plan.use[0] && !plan.use[1]);
+          EXPECT_EQ(*got, row.code.DecodeViaP(ua));
+          EXPECT_EQ(*got, row.d[ua]);
+          // {a, P}: Q decodes it under P+Q; nothing does under one leg.
+          got = Decode(row, a, -1, {false, legs == 2}, &plan);
+          if (legs == 1) {
+            EXPECT_FALSE(got.has_value());
+          } else {
+            ASSERT_TRUE(got.has_value());
+            EXPECT_TRUE(!plan.use[0] && plan.use[1]);
+            EXPECT_EQ(*got, row.code.DecodeViaQ(ua));
+          }
+          // {a, Q}: P decodes it.
+          got = Decode(row, a, -1, {true, false});
+          ASSERT_TRUE(got.has_value());
+          EXPECT_EQ(*got, row.d[ua]);
+          // {a, b}: the two-erasure solve needs both legs.
+          for (int b = 0; b < g; ++b) {
+            if (b == a) continue;
+            got = Decode(row, a, b, both, &plan);
+            if (legs == 1) {
+              EXPECT_FALSE(got.has_value());
+              continue;
+            }
+            ASSERT_TRUE(got.has_value()) << "a=" << a << " b=" << b;
+            EXPECT_TRUE(plan.two_legs());
+            EXPECT_EQ(*got,
+                      row.code.DecodeTwoData(ua, static_cast<size_t>(b))
+                          .first)
+                << "g=" << g << " n=" << n << " a=" << a << " b=" << b;
+            EXPECT_FALSE(Decode(row, a, b, {true, false}).has_value());
+            EXPECT_FALSE(Decode(row, a, b, {false, true}).has_value());
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(RowCode, PlanHonoursForcedLegAndAvoidedP) {
+  const std::vector<int> none;
+  const std::vector<int> one{3};
+  const std::vector<int> two{3, 4};
+  Result<RowPlan> plan = PlanDecode(0, none, {true, true}, {1, false});
+  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(!plan->use[0] && plan->use[1]);
+  EXPECT_TRUE(PlanDecode(0, none, {true, false}, {1, false})
+                  .status()
+                  .IsBlocked());
+  EXPECT_TRUE(PlanDecode(0, one, {true, true}, {0, false})
+                  .status()
+                  .IsBlocked());
+  plan = PlanDecode(0, none, {true, true}, {-1, true});
+  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(!plan->use[0] && plan->use[1]);
+  // With Q unusable, a P that failed validation is still the only leg.
+  plan = PlanDecode(0, none, {true, false}, {-1, true});
+  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(plan->use[0] && !plan->use[1]);
+  EXPECT_TRUE(PlanDecode(0, two, {true, true}).status().IsBlocked());
+}
+
+TEST(RowCode, EncodeMatchesPqCode) {
+  Rng rng(43);
+  for (int g : {1, 4, 8}) {
+    for (size_t n : {size_t{1}, size_t{65}, size_t{4097}}) {
+      CodecRow row(g, n, &rng);
+      RowRead all = row.Read(RowPlan{}, -1, -1);
+      Block p(n);
+      Block q(n);
+      ASSERT_TRUE(EncodeLeg(0, all.data, &p).ok());
+      ASSERT_TRUE(EncodeLeg(1, all.data, &q).ok());
+      EXPECT_EQ(p, row.code.p) << "g=" << g << " n=" << n;
+      EXPECT_EQ(q, row.code.q) << "g=" << g << " n=" << n;
+      const std::vector<Uid> array =
+          EncodeArray(all.data, static_cast<size_t>(g) + 3);
+      EXPECT_TRUE(ArrayNames(array, all.data));
+      EXPECT_EQ(array.size(), static_cast<size_t>(g) + 3);
+      EXPECT_FALSE(array.back().valid());
+    }
+  }
+}
+
+TEST(RowCode, CheckRefusesATornPair) {
+  // P names member 1's new write, Q still the old one, and member 1 is
+  // erased alongside the home: two equations, three unknowns. Only the
+  // cross-leg comparison can see it, since nobody read member 1.
+  Rng rng(47);
+  CodecRow row(4, 65, &rng);
+  Result<RowPlan> plan =
+      PlanDecode(0, std::vector<int>{1}, {true, true});
+  ASSERT_TRUE(plan.ok());
+  RowRead read = row.Read(*plan, 0, 1);
+  std::vector<Uid> q_array = row.uids;
+  q_array[1] = Uid::Make(1, 99);
+  read.legs[1].uid_array = &q_array;
+  EXPECT_FALSE(CheckRow(*plan, read, Members(4)));
+  // A source the planned leg does not name fails the §3.3 check too.
+  RowRead stale = row.Read(*plan, 0, 1);
+  stale.data[0].uid = Uid::Make(2, 7);
+  EXPECT_FALSE(CheckRow(*plan, stale, Members(4)));
+}
+
+TEST(RowCode, DecodeRefusesAWrongSizeSource) {
+  Rng rng(53);
+  CodecRow row(4, 65, &rng);
+  for (bool two : {false, true}) {
+    std::vector<int> erased;
+    if (two) erased.push_back(2);
+    Result<RowPlan> plan = PlanDecode(0, erased, {true, true});
+    ASSERT_TRUE(plan.ok());
+    RowRead read = row.Read(*plan, 0, two ? 2 : -1);
+    const Block short_block(64);
+    read.data[0].data = &short_block;
+    Block out(65);
+    EXPECT_TRUE(DecodeRow(*plan, read, &out).IsInvalidArgument());
+    RowRead bad_leg = row.Read(*plan, 0, two ? 2 : -1);
+    bad_leg.legs[0].data = &short_block;
+    Block out2(65);
+    EXPECT_TRUE(DecodeRow(*plan, bad_leg, &out2).IsInvalidArgument());
   }
 }
 

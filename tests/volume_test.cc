@@ -311,6 +311,28 @@ TEST(VolumeCreate, RejectsDrivesBeyondSiteCapacity) {
   EXPECT_FALSE(made.ok());
 }
 
+TEST(VolumeCreate, RejectsThinnedSpares) {
+  // The protocol keeps a spare in every row: a row without one would still
+  // take spare writes, and recovery, which skips the spares of such rows,
+  // would leave them valid to be served stale at the home's next outage.
+  RaddConfig config;
+  config.group_size = 2;
+  config.rows = 8;
+  config.block_size = 128;
+  config.spare_fraction = 0.5;
+  std::vector<SiteConfig> sites(4, SiteConfig{1, 8, 128});
+  Simulator sim;
+  Network net(&sim, NetworkModel{}, 1);
+  Cluster cluster(sites);
+  VolumeConfig vc;
+  vc.group = config;
+  vc.drives_per_site = {1, 1, 1, 1};
+  Result<std::unique_ptr<RaddVolume>> made =
+      RaddVolume::Create(&sim, &net, &cluster, vc);
+  EXPECT_FALSE(made.ok());
+  EXPECT_TRUE(made.status().IsInvalidArgument());
+}
+
 // ---------------------------------------------------------------------------
 // ValidateMembers: the §4 precondition checks callers rely on.
 // ---------------------------------------------------------------------------
