@@ -181,6 +181,52 @@ TEST(FrameCodec, EncodeDecodeIdentityEveryType) {
   }
 }
 
+// The wire format itself, pinned: the frame length and CRC32C of every
+// representative message. Any change to a payload's field order or field
+// encoding moves one of these; a format change must bump kFrameVersion.
+TEST(FrameCodec, EncodingIsPinnedEveryType) {
+  struct Pin {
+    MessageType type;
+    size_t size;
+    uint32_t crc;
+  };
+  const Pin kPins[] = {
+      {MessageType::kNone, 32, 0x48674bc7u},
+      {MessageType::kReadReq, 52, 0x48bb4450u},
+      {MessageType::kReadReply, 64, 0xbd5a6773u},
+      {MessageType::kWriteReq, 80, 0x94d22d43u},
+      {MessageType::kWriteReply, 53, 0xdb97cd06u},
+      {MessageType::kSpareReadReq, 56, 0xfcbfafcbu},
+      {MessageType::kSpareReadReply, 56, 0xb6ce73eau},
+      {MessageType::kSpareTakeReq, 56, 0x55b7675bu},
+      {MessageType::kSpareTakeReply, 56, 0x61b0a655u},
+      {MessageType::kSpareInvalidate, 56, 0x82c9b2e4u},
+      {MessageType::kSpareWriteReq, 88, 0x278ca6cbu},
+      {MessageType::kSpareWriteReply, 53, 0x679e7f26u},
+      {MessageType::kSpareWriteBack, 71, 0xf1f3f1dbu},
+      {MessageType::kParityBatch, 133, 0x3e044301u},
+      {MessageType::kParityBatchAck, 52, 0x0649e4adu},
+      {MessageType::kReconReq, 56, 0xe335d911u},
+      {MessageType::kReconReply, 97, 0x788de16cu},
+      {MessageType::kHeartbeat, 40, 0x1db4af63u},
+      {MessageType::kHbProbe, 40, 0xae2912d1u},
+      {MessageType::kHbProbeAck, 40, 0x7f63a2f6u},
+  };
+  size_t pinned = 0;
+  for (const Pin& pin : kPins) {
+    const std::vector<uint8_t> frame = EncodeFrame(MakeMessage(pin.type));
+    EXPECT_EQ(frame.size(), pin.size) << MessageTypeName(pin.type);
+    EXPECT_EQ(Crc32c(frame.data(), frame.size()), pin.crc)
+        << MessageTypeName(pin.type);
+    ++pinned;
+  }
+  size_t live = 0;
+  for (size_t t = 0; t < kNumMessageTypes; ++t) {
+    if (!IsReservedMessageType(static_cast<MessageType>(t))) ++live;
+  }
+  EXPECT_EQ(pinned, live);
+}
+
 TEST(FrameCodec, DeepFieldRoundTrip) {
   const Message msg = MakeMessage(MessageType::kSpareWriteReq);
   const std::vector<uint8_t> frame = EncodeFrame(msg);
