@@ -1898,16 +1898,7 @@ void RaddNodeSystem::Dispatch(SiteId site, Message& msg) {
         // The read landed on a member an expansion moved the row away
         // from. StartRead re-resolves the hosting member, so the retry
         // routes to the block's current home.
-        PendingRead& pr = it->second;
-        sim_->Cancel(pr.timer);
-        if (++pr.retries > node_config_.max_retries) {
-          stats_.Add("node.read_retry_exhausted");
-          FinishRead(site, rep.op, Status::NetworkError("read timed out"),
-                     Block(0));
-          return;
-        }
-        stats_.Add("node.stale_epoch_retry");
-        StartRead(site, rep.op);
+        RetryRead(site, rep.op, /*stale_epoch=*/true);
       } else {
         FinishRead(site, rep.op, rep.status, Block(0));
       }
@@ -1925,37 +1916,12 @@ void RaddNodeSystem::Dispatch(SiteId site, Message& msg) {
         // The server knows a newer membership epoch for the home site than
         // this request carried. Reissue immediately: StartWrite re-reads
         // the current state and restamps, so the retry routes correctly.
-        PendingWrite& pw = it->second;
-        sim_->Cancel(pw.timer);
-        if (++pw.retries > node_config_.max_retries) {
-          stats_.Add("node.write_retry_exhausted");
-          FinishWrite(site, rep.op, Status::NetworkError("write timed out"));
-          return;
-        }
-        stats_.Add("node.stale_epoch_retry");
-        StartWrite(site, rep.op);
+        RetryWrite(site, rep.op, /*stale_epoch=*/true);
         return;
       }
       if (rep.status.IsUnavailable()) {
         // Home said "block lost": redirect to the spare (degraded write).
-        PendingWrite& pw = it->second;
-        Node* client_node = node(pw.client);
-        RaddGroup* g = groups_[static_cast<size_t>(pw.group)].get();
-        const int home = HostMember(pw.group, pw.home, pw.index);
-        SpareWriteReq req;
-        req.op = rep.op;
-        req.group = pw.group;
-        req.home = home;
-        req.row = pw.row;
-        req.deadline = WriteDeadline(pw);
-        req.home_epoch = status_.Epoch(g->SiteOfMember(home));
-        req.data = pw.data;  // pw keeps its copy for retries
-        req.uid = cluster_->site(pw.client)->uids()->Next();
-        size_t wire = req.data.size();
-        client_node->Send(
-            g->SiteOfMember(
-                static_cast<int>(g->layout().SpareSite(pw.row))),
-            MessageType::kSpareWriteReq, std::move(req), wire);
+        SendSpareWrite(rep.op, it->second);
         return;
       }
       FinishWrite(site, rep.op, rep.status);
@@ -2088,19 +2054,9 @@ void RaddNodeSystem::StartRead(SiteId client, uint64_t op) {
   PendingRead& pr = node(client)->reads.at(op);
   pr.tried_home = false;
   // Reads are idempotent: a lost request or reply is simply retried.
-  pr.timer = sim_->Schedule(
-      4 * node_config_.retry_timeout, [this, client, op]() {
-        auto rit = node(client)->reads.find(op);
-        if (rit == node(client)->reads.end()) return;
-        if (++rit->second.retries > node_config_.max_retries) {
-          stats_.Add("node.read_retry_exhausted");
-          FinishRead(client, op, Status::NetworkError("read timed out"),
-                     Block(0));
-          return;
-        }
-        stats_.Add("node.read_retry");
-        StartRead(client, op);
-      });
+  pr.timer = sim_->Schedule(4 * node_config_.retry_timeout, [this, client, op] {
+    RetryRead(client, op, /*stale_epoch=*/false);
+  });
   RaddGroup* g = groups_[static_cast<size_t>(pr.group)].get();
   // pr.home stays the row's logical owner across retries; each (re)issue
   // resolves the member currently hosting its block, so a retry after an
@@ -2153,21 +2109,11 @@ void RaddNodeSystem::StartWrite(SiteId client, uint64_t op) {
   const int home = HostMember(pw.group, pw.home, pw.index);
   SiteId home_site = g->SiteOfMember(home);
   Node* client_node = node(pw.client);
-  ArmWriteTimer(client, op);
+  pw.timer = sim_->Schedule(4 * node_config_.retry_timeout, [this, client, op] {
+    RetryWrite(client, op, /*stale_epoch=*/false);
+  });
   if (status_.Perceived(pw.client, home_site) == SiteState::kDown) {
-    SpareWriteReq req;
-    req.op = op;
-    req.group = pw.group;
-    req.home = home;
-    req.row = pw.row;
-    req.deadline = WriteDeadline(pw);
-    req.home_epoch = status_.Epoch(home_site);
-    req.data = pw.data;  // pw keeps its copy for retries
-    req.uid = cluster_->site(pw.client)->uids()->Next();
-    size_t wire = req.data.size();
-    client_node->Send(
-        g->SiteOfMember(static_cast<int>(g->layout().SpareSite(pw.row))),
-        MessageType::kSpareWriteReq, std::move(req), wire);
+    SendSpareWrite(op, pw);
     return;
   }
   WriteReq req;
@@ -2182,8 +2128,27 @@ void RaddNodeSystem::StartWrite(SiteId client, uint64_t op) {
   client_node->Send(home_site, MessageType::kWriteReq, std::move(req), wire);
 }
 
+void RaddNodeSystem::SendSpareWrite(uint64_t op, const PendingWrite& pw) {
+  RaddGroup* g = groups_[static_cast<size_t>(pw.group)].get();
+  const int home = HostMember(pw.group, pw.home, pw.index);
+  const SiteId spare_site =
+      g->SiteOfMember(static_cast<int>(g->layout().SpareSite(pw.row)));
+  // pw keeps its copy of the data for retries; the UID is minted last.
+  SpareWriteReq req{op,
+                    pw.group,
+                    home,
+                    pw.row,
+                    WriteDeadline(pw),
+                    status_.Epoch(g->SiteOfMember(home)),
+                    pw.data,
+                    cluster_->site(pw.client)->uids()->Next()};
+  const size_t wire = req.data.size();
+  node(pw.client)->Send(spare_site, MessageType::kSpareWriteReq,
+                        std::move(req), wire);
+}
+
 SimTime RaddNodeSystem::WriteDeadline(const PendingWrite& pw) const {
-  // ArmWriteTimer fires every 4*retry_timeout and gives up after
+  // The write timer fires every 4*retry_timeout and gives up after
   // max_retries retries, so the client abandons the op at exactly this
   // time; any request copy arriving later is a zombie.
   return pw.start +
@@ -2191,21 +2156,31 @@ SimTime RaddNodeSystem::WriteDeadline(const PendingWrite& pw) const {
              node_config_.retry_timeout;
 }
 
-void RaddNodeSystem::ArmWriteTimer(SiteId client, uint64_t op) {
+void RaddNodeSystem::RetryRead(SiteId client, uint64_t op, bool stale_epoch) {
+  auto it = node(client)->reads.find(op);
+  if (it == node(client)->reads.end()) return;
+  // A StaleEpoch reply pre-empts the op's timer; a fired timer is spent.
+  if (stale_epoch) sim_->Cancel(it->second.timer);
+  if (++it->second.retries > node_config_.max_retries) {
+    stats_.Add("node.read_retry_exhausted");
+    FinishRead(client, op, Status::NetworkError("read timed out"), Block(0));
+    return;
+  }
+  stats_.Add(stale_epoch ? "node.stale_epoch_retry" : "node.read_retry");
+  StartRead(client, op);
+}
+
+void RaddNodeSystem::RetryWrite(SiteId client, uint64_t op, bool stale_epoch) {
   auto it = node(client)->writes.find(op);
   if (it == node(client)->writes.end()) return;
-  it->second.timer = sim_->Schedule(
-      4 * node_config_.retry_timeout, [this, client, op]() {
-        auto wit = node(client)->writes.find(op);
-        if (wit == node(client)->writes.end()) return;
-        if (++wit->second.retries > node_config_.max_retries) {
-          stats_.Add("node.write_retry_exhausted");
-          FinishWrite(client, op, Status::NetworkError("write timed out"));
-          return;
-        }
-        stats_.Add("node.write_retry");
-        StartWrite(client, op);
-      });
+  if (stale_epoch) sim_->Cancel(it->second.timer);
+  if (++it->second.retries > node_config_.max_retries) {
+    stats_.Add("node.write_retry_exhausted");
+    FinishWrite(client, op, Status::NetworkError("write timed out"));
+    return;
+  }
+  stats_.Add(stale_epoch ? "node.stale_epoch_retry" : "node.write_retry");
+  StartWrite(client, op);
 }
 
 void RaddNodeSystem::FinishRead(SiteId client, uint64_t op, Status st,

@@ -282,8 +282,15 @@ class RaddNodeSystem {
   void StartWrite(SiteId client, uint64_t op);
   void FinishRead(SiteId client, uint64_t op, Status st, Block data);
   void FinishWrite(SiteId client, uint64_t op, Status st);
-  void ArmWriteTimer(SiteId client, uint64_t op);
+  /// W1': ships a client write whose home is down, or has lost the
+  /// block, to the row's spare under a UID minted at the client.
+  void SendSpareWrite(uint64_t op, const PendingWrite& pw);
   SimTime WriteDeadline(const PendingWrite& pw) const;
+  /// One client retry step, on a fired timer or a StaleEpoch reply
+  /// (`stale_epoch`): spends a retry; past max_retries the op fails with
+  /// NetworkError, else it is reissued.
+  void RetryRead(SiteId client, uint64_t op, bool stale_epoch);
+  void RetryWrite(SiteId client, uint64_t op, bool stale_epoch);
 
   friend struct Node;
 };

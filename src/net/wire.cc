@@ -4,47 +4,22 @@
 
 namespace radd {
 
-namespace {
-
-const std::array<std::string, kNumMessageTypes>& NameTable() {
-  static const std::array<std::string, kNumMessageTypes> kNames = {
-      "",  // kNone
-      "read_req",
-      "read_reply",
-      "write_req",
-      "write_reply",
-      "spare_read_req",
-      "spare_read_reply",
-      "spare_take_req",
-      "spare_take_reply",
-      "spare_invalidate",
-      "spare_write_req",
-      "spare_write_reply",
-      "spare_write_back",
-      "parity_update",
-      "parity_ack",
-      "parity_nack",
-      "parity_batch",
-      "parity_batch_ack",
-      "recon_req",
-      "recon_reply",
-      "heartbeat",
-      "hb_probe",
-      "hb_probe_ack",
-  };
-  return kNames;
-}
-
-}  // namespace
-
 const std::string& MessageTypeName(MessageType type) {
-  return NameTable()[static_cast<size_t>(type)];
+  // Callers build stat keys from the name, so it is handed out as a
+  // std::string copied once from the type table.
+  static const auto kNames = [] {
+    std::array<std::string, kNumMessageTypes> names;
+    for (size_t i = 0; i < kNumMessageTypes; ++i) {
+      names[i] = kMessageTypes[i].name;
+    }
+    return names;
+  }();
+  return kNames[static_cast<size_t>(type)];
 }
 
 MessageType MessageTypeFromName(const std::string& name) {
-  const auto& names = NameTable();
-  for (size_t i = 1; i < names.size(); ++i) {
-    if (names[i] == name) return static_cast<MessageType>(i);
+  for (size_t i = 1; i < kNumMessageTypes; ++i) {
+    if (kMessageTypes[i].name == name) return static_cast<MessageType>(i);
   }
   return MessageType::kNone;
 }

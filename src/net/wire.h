@@ -8,14 +8,24 @@
 // (Blocks) travel by move, so the messaging hot path performs no
 // per-message allocation of its own.
 //
+// Each payload struct declares its wire layout once, in the Fields()
+// overload beside it: its fields, in the order the frame codec
+// (net/frame.cc) writes them. kMessageTypes maps every MessageType to its
+// name and payload alternative; the codec and the name lookups read it.
+//
 // Sizes quoted in `wire_bytes` fields are the §7.4-style wire costs; every
 // message additionally pays the fixed kWireHeader.
 
 #ifndef RADD_NET_WIRE_H_
 #define RADD_NET_WIRE_H_
 
+#include <concepts>
 #include <cstdint>
+#include <iterator>
 #include <string>
+#include <string_view>
+#include <tuple>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -63,12 +73,6 @@ enum class MessageType : uint8_t {
 constexpr size_t kNumMessageTypes =
     static_cast<size_t>(MessageType::kHbProbeAck) + 1;
 
-/// True for a type number kept only as a reserved slot (see above).
-constexpr bool IsReservedMessageType(MessageType type) {
-  return type == MessageType::kParityUpdate ||
-         type == MessageType::kParityAck || type == MessageType::kParityNack;
-}
-
 /// Stable on-the-wire name, e.g. "parity_batch". Used for stat keys and
 /// traces; a name never changes, so recorded stats stay comparable across
 /// revisions.
@@ -79,17 +83,28 @@ MessageType MessageTypeFromName(const std::string& name);
 
 // --- protocol payloads ------------------------------------------------------
 
+/// `V` is payload struct `T`, const or not: one Fields() overload serves
+/// the encoder, which reads the fields, and the decoder, which fills them.
+template <class V, class T>
+concept MaybeConst = std::same_as<std::remove_const_t<V>, T>;
+
 struct ReadReq {
   uint64_t op;
   int group = 0;  // RADD group within the volume (§4 sharding)
   BlockNum row;
 };
+auto Fields(MaybeConst<ReadReq> auto& v) {
+  return std::tie(v.op, v.group, v.row);
+}
 struct ReadReply {
   uint64_t op;
   Status status;
   Block data{0};
   Uid uid;
 };
+auto Fields(MaybeConst<ReadReply> auto& v) {
+  return std::tie(v.op, v.status, v.data, v.uid);
+}
 struct WriteReq {
   uint64_t op;
   int group = 0;
@@ -99,28 +114,42 @@ struct WriteReq {
   uint64_t home_epoch = 0;  // membership epoch of the home site at issue
   Block data{0};
 };
+auto Fields(MaybeConst<WriteReq> auto& v) {
+  return std::tie(v.op, v.group, v.row, v.home, v.deadline, v.home_epoch,
+                  v.data);
+}
 struct WriteReply {
   uint64_t op;
   Status status;
 };
+auto Fields(MaybeConst<WriteReply> auto& v) { return std::tie(v.op, v.status); }
 struct SpareReadReq {
   uint64_t op;
   int group = 0;
   int home;
   BlockNum row;
 };
+auto Fields(MaybeConst<SpareReadReq> auto& v) {
+  return std::tie(v.op, v.group, v.home, v.row);
+}
 struct SpareReadReply {
   uint64_t op;
   Status status;  // OK: data valid; NotFound: spare invalid
   Block data{0};
   Uid logical_uid;
 };
+auto Fields(MaybeConst<SpareReadReply> auto& v) {
+  return std::tie(v.op, v.status, v.data, v.logical_uid);
+}
 struct SpareTakeReq {  // recovering-write old-value fetch + invalidate
   uint64_t op;
   int group = 0;
   int home;
   BlockNum row;
 };
+auto Fields(MaybeConst<SpareTakeReq> auto& v) {
+  return std::tie(v.op, v.group, v.home, v.row);
+}
 struct SpareWriteReq {  // W1' — degraded write shipped to the spare site
   uint64_t op;
   int group = 0;
@@ -131,6 +160,10 @@ struct SpareWriteReq {  // W1' — degraded write shipped to the spare site
   Block data{0};
   Uid uid;  // minted by the writer
 };
+auto Fields(MaybeConst<SpareWriteReq> auto& v) {
+  return std::tie(v.op, v.group, v.home, v.row, v.deadline, v.home_epoch,
+                  v.data, v.uid);
+}
 struct SpareWriteBack {  // degraded-read materialization (fire and forget)
   int group = 0;
   int home;
@@ -139,6 +172,9 @@ struct SpareWriteBack {  // degraded-read materialization (fire and forget)
   Block data{0};
   Uid logical_uid;
 };
+auto Fields(MaybeConst<SpareWriteBack> auto& v) {
+  return std::tie(v.group, v.home, v.row, v.home_epoch, v.data, v.logical_uid);
+}
 /// One coalesced row update inside a batched parity frame: the XOR-merge
 /// of every staged change mask for (row, position), stamped with the
 /// latest contributing UID (formula 1 is associative, so the merged mask
@@ -153,6 +189,10 @@ struct ParityBatchEntry {
   Uid uid;                  // newest UID folded into the merge
   size_t wire_bytes = 0;    // encoded-mask cost of `delta`
 };
+auto Fields(MaybeConst<ParityBatchEntry> auto& v) {
+  return std::tie(v.row, v.position, v.home_epoch, v.delta, v.uid,
+                  v.wire_bytes);
+}
 
 /// W3 group-commit frame: many row updates in one message. Idempotence is
 /// per-sender `batch_seq` (the receiver remembers processed sequence
@@ -163,6 +203,9 @@ struct ParityBatchFrame {
   int group = 0;           // frames never mix groups: one coalescer each
   std::vector<ParityBatchEntry> entries;
 };
+auto Fields(MaybeConst<ParityBatchFrame> auto& v) {
+  return std::tie(v.batch_seq, v.group, v.entries);
+}
 
 /// Batch-level ack, fanned back out to the per-op completion waiters.
 /// `entry_status` is index-aligned with the frame's entries: OK means
@@ -171,6 +214,9 @@ struct ParityBatchAck {
   uint64_t batch_seq = 0;
   std::vector<Status> entry_status;
 };
+auto Fields(MaybeConst<ParityBatchAck> auto& v) {
+  return std::tie(v.batch_seq, v.entry_status);
+}
 
 struct ReconReq {
   uint64_t op;
@@ -178,6 +224,9 @@ struct ReconReq {
   BlockNum row;
   int attempt;  // §3.3 retry round; stale-round replies are discarded
 };
+auto Fields(MaybeConst<ReconReq> auto& v) {
+  return std::tie(v.op, v.group, v.row, v.attempt);
+}
 struct ReconReply {
   uint64_t op;
   BlockNum row;
@@ -187,10 +236,14 @@ struct ReconReply {
   std::vector<Uid> uid_array;  // non-empty iff this is the parity site
   int attempt = 0;             // echoed from the request
 };
+auto Fields(MaybeConst<ReconReply> auto& v) {
+  return std::tie(v.op, v.row, v.status, v.data, v.uid, v.uid_array, v.attempt);
+}
 
 struct Heartbeat {
   SimTime sent_at = 0;
 };
+auto Fields(MaybeConst<Heartbeat> auto& v) { return std::tie(v.sent_at); }
 
 /// The closed payload set. std::monostate is the untyped/empty payload.
 using Payload =
@@ -198,6 +251,57 @@ using Payload =
                  SpareReadReq, SpareReadReply, SpareTakeReq, SpareWriteReq,
                  SpareWriteBack, ParityBatchFrame, ParityBatchAck, ReconReq,
                  ReconReply, Heartbeat>;
+
+/// Index of alternative `T` in Payload; kNoPayload if it is not one.
+constexpr size_t kNoPayload = std::variant_npos;
+template <class T>
+constexpr size_t kPayloadOf = []<class... Ts>(std::variant<Ts...>*) {
+  size_t i = 0;
+  return ((std::is_same_v<T, Ts> || (++i, false)) || ...) ? i : kNoPayload;
+}(static_cast<Payload*>(nullptr));
+
+/// One row of the type table: a type's stable on-the-wire name and the
+/// Payload alternative its frames carry.
+struct MessageTypeInfo {
+  std::string_view name;
+  size_t payload;
+};
+
+/// The type table, indexed by MessageType. Several types share one payload
+/// struct (a kSpareTakeReply travels as a SpareReadReply); the senders in
+/// core/node.cc and cluster/heartbeat.cc follow this mapping.
+constexpr MessageTypeInfo kMessageTypes[] = {
+    {"", kPayloadOf<std::monostate>},  // kNone
+    {"read_req", kPayloadOf<ReadReq>},
+    {"read_reply", kPayloadOf<ReadReply>},
+    {"write_req", kPayloadOf<WriteReq>},
+    {"write_reply", kPayloadOf<WriteReply>},
+    {"spare_read_req", kPayloadOf<SpareReadReq>},
+    {"spare_read_reply", kPayloadOf<SpareReadReply>},
+    {"spare_take_req", kPayloadOf<SpareTakeReq>},
+    {"spare_take_reply", kPayloadOf<SpareReadReply>},
+    {"spare_invalidate", kPayloadOf<SpareTakeReq>},
+    {"spare_write_req", kPayloadOf<SpareWriteReq>},
+    {"spare_write_reply", kPayloadOf<WriteReply>},
+    {"spare_write_back", kPayloadOf<SpareWriteBack>},
+    {"parity_update", kNoPayload},
+    {"parity_ack", kNoPayload},
+    {"parity_nack", kNoPayload},
+    {"parity_batch", kPayloadOf<ParityBatchFrame>},
+    {"parity_batch_ack", kPayloadOf<ParityBatchAck>},
+    {"recon_req", kPayloadOf<ReconReq>},
+    {"recon_reply", kPayloadOf<ReconReply>},
+    {"heartbeat", kPayloadOf<Heartbeat>},
+    {"hb_probe", kPayloadOf<Heartbeat>},
+    {"hb_probe_ack", kPayloadOf<Heartbeat>},
+};
+static_assert(std::size(kMessageTypes) == kNumMessageTypes,
+              "one kMessageTypes row per MessageType");
+
+/// True for a type number kept only as a reserved slot (see MessageType).
+constexpr bool IsReservedMessageType(MessageType type) {
+  return kMessageTypes[static_cast<size_t>(type)].payload == kNoPayload;
+}
 
 }  // namespace radd
 
