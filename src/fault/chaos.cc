@@ -22,6 +22,7 @@ std::string ChaosReport::Summary() const {
                     " acked=" + std::to_string(ops_acked) +
                     " failed=" + std::to_string(ops_failed) +
                     " reads=" + std::to_string(reads_validated) +
+                    " rot_detected=" + std::to_string(corruptions_detected) +
                     " t=" + std::to_string(end_time) + " " + plan;
   if (groups > 1) out += " groups=" + std::to_string(groups);
   if (parities > 1) out += " scheme=pq";
@@ -890,6 +891,10 @@ ChaosReport ChaosHarness::Run(uint64_t seed) {
     report.stale_epoch_rejections =
         sys.stats().Get("node.stale_epoch_rejected");
     report.sweep_rows = sweeper->stats().Get("sweeper.rows_swept");
+  }
+  for (int s = 0; s < total_sites; ++s) {
+    report.corruptions_detected +=
+        cluster.site(static_cast<SiteId>(s))->disks()->corruptions_detected();
   }
   report.end_time = sim.Now();
   report.failure = failure;

@@ -118,6 +118,9 @@ struct ChaosReport {
   uint64_t ops_failed = 0;  ///< completed with a non-OK status (allowed)
   uint64_t reads_validated = 0;
   SimTime end_time = 0;
+  /// Reads and parity updates whose stamp check caught silent corruption,
+  /// summed over every site's disks at the end of the schedule.
+  uint64_t corruptions_detected = 0;
 
   /// Batched-parity-mode metrics (reported only when batching is on, so
   /// the Summary of a run with batching off omits them).

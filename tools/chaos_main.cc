@@ -33,7 +33,8 @@
 //
 // Every sweep ends with a per-fault-kind table of how many faults were
 // injected and how many the schedules survived (second faults of
-// double-failure episodes count separately).
+// double-failure episodes count separately), followed by the number of
+// silently corrupted blocks the disks' integrity stamps caught.
 //
 // Every schedule is deterministic in its seed: a failing seed printed by a
 // bulk run reproduces bit-for-bit with --seed, at any thread count — each
@@ -240,11 +241,13 @@ int main(int argc, char** argv) {
   uint64_t batches = 0, batch_retx = 0, batch_dup = 0, staged = 0,
            batch_n = 0;
   uint64_t frames_encoded = 0, frames_rejected = 0, codec_n = 0;
+  uint64_t rot_detected = 0;
   std::map<std::string, uint64_t> injected, survived;
   for (uint64_t s = start; s < start + seeds; ++s) {
     radd::ChaosReport& r = reports[static_cast<size_t>(s - start)];
     for (const auto& [kind, n] : r.injected_by_kind) injected[kind] += n;
     for (const auto& [kind, n] : r.survived_by_kind) survived[kind] += n;
+    rot_detected += r.corruptions_detected;
     if (r.frame_codec) {
       frames_encoded += r.frames_encoded;
       frames_rejected += r.frames_rejected;
@@ -290,6 +293,8 @@ int main(int argc, char** argv) {
                 static_cast<unsigned long long>(n),
                 static_cast<unsigned long long>(survived[kind]));
   }
+  std::printf("silent corruptions detected by disk stamps: %llu\n",
+              static_cast<unsigned long long>(rot_detected));
   if (batch_n > 0) {
     std::printf("batched parity: %llu updates staged into %llu frames "
                 "(%.2f updates/frame); %llu retransmits, "
