@@ -220,9 +220,9 @@ struct RaddNodeSystem::Node {
         // matches the store's current record — the same UID-agreement
         // test recovery uses. UIDs name writes, so a match means the
         // cached bytes are the last write's bytes even if rebuilds or
-        // drains touched the store behind us. The Peek is metadata-only
+        // drains touched the store behind us. The peek is metadata-only
         // (the paper's free buffered check) and costs no disk time.
-        Result<BlockRecord> cur = store()->Peek(prow);
+        Result<BlockMeta> cur = store()->PeekMeta(prow);
         if (cur.ok() && cur->uid.valid() && cur->uid == e->uid) {
           cache.CountHit();
           ReadReply rep;
@@ -342,7 +342,7 @@ struct RaddNodeSystem::Node {
     // A lost block at a recovering site is written through the spare; tell
     // the client to take the degraded path.
     if (state == SiteState::kRecovering &&
-        !store()->Peek(phys(req.group, req.row)).ok()) {
+        !store()->PeekMeta(phys(req.group, req.row)).ok()) {
       // Not a completed write: the client will redirect to the spare, so
       // forget the flow marker (the spare node dedupes the redirect).
       write_flows.erase(req.op);
@@ -497,7 +497,7 @@ struct RaddNodeSystem::Node {
             // yet applied our delta, or a drain of the spare this flow
             // fetched). The parity now carries the update, so the ack is
             // honest only if the local copy does too.
-            Result<BlockRecord> now = store()->Peek(prow);
+            Result<BlockMeta> now = store()->PeekMeta(prow);
             bool clobbered = false;
             if (!now.ok()) {
               clobbered = now.status().IsDataLoss();
@@ -552,7 +552,7 @@ struct RaddNodeSystem::Node {
     ScheduleDisk(IoClass::kRecovery, IoKind::kWrite,
                  phys(req.group, req.row), 1, [this, req]() {
       const BlockNum prow = phys(req.group, req.row);
-      Result<BlockRecord> rec = store()->Peek(prow);
+      Result<BlockMeta> rec = store()->PeekMeta(prow);
       if (rec.ok() && rec->spare_for == req.home) {
         (void)store()->Invalidate(prow);
         cache.Invalidate(prow);
@@ -794,7 +794,7 @@ struct RaddNodeSystem::Node {
     // restart (which clears the seq table) or its eviction bound, and a
     // rebuild of the row from the members' copies (which already contain
     // this delta) that landed while the entry was in flight.
-    Result<BlockRecord> rec = store()->Peek(phys(g, e.row));
+    Result<BlockMeta> rec = store()->PeekMeta(phys(g, e.row));
     const size_t pos = static_cast<size_t>(e.position);
     const bool listed = rec.ok() && pos < rec->uid_array.size();
     const Uid cur = listed ? rec->uid_array[pos] : Uid();
@@ -943,7 +943,7 @@ struct RaddNodeSystem::Node {
   /// entry's change: it holds the entry's UID, or a later UID this site
   /// minted for a write that chained on it.
   bool HoldsChange(int g, const ParityCoalescer::Entry& e) {
-    Result<BlockRecord> rec = store()->Peek(phys(g, e.row));
+    Result<BlockMeta> rec = store()->PeekMeta(phys(g, e.row));
     if (!rec.ok() || !rec->uid.valid()) return false;
     return rec->uid == e.uid ||
            (rec->uid.site() == self && e.uid.site() == self &&
@@ -1201,7 +1201,7 @@ struct RaddNodeSystem::Node {
         drop();
         return;
       }
-      Result<BlockRecord> cur = store()->Peek(prow);
+      Result<BlockMeta> cur = store()->PeekMeta(prow);
       if (cur.ok() && cur->uid.valid() && cur->spare_for != req.home) {
         // The spare already shadows another down member of the row (a
         // double failure): overwriting it would lose that member's
@@ -1375,7 +1375,7 @@ struct RaddNodeSystem::Node {
         sys->arena_.Return(std::move(wb.data));
         return;
       }
-      Result<BlockRecord> cur = store()->Peek(phys(wb.group, wb.row));
+      Result<BlockMeta> cur = store()->PeekMeta(phys(wb.group, wb.row));
       if (cur.ok() && cur->uid.valid()) return;  // raced with a write
       BlockRecord rec(0);
       rec.data = std::move(wb.data);
@@ -2159,8 +2159,10 @@ SimTime RaddNodeSystem::WriteDeadline(const PendingWrite& pw) const {
 void RaddNodeSystem::RetryRead(SiteId client, uint64_t op, bool stale_epoch) {
   auto it = node(client)->reads.find(op);
   if (it == node(client)->reads.end()) return;
-  // A StaleEpoch reply pre-empts the op's timer; a fired timer is spent.
+  // A StaleEpoch reply pre-empts the op's timer; a fired timer is spent,
+  // and its id is forgotten so that FinishRead does not cancel it.
   if (stale_epoch) sim_->Cancel(it->second.timer);
+  it->second.timer = 0;
   if (++it->second.retries > node_config_.max_retries) {
     stats_.Add("node.read_retry_exhausted");
     FinishRead(client, op, Status::NetworkError("read timed out"), Block(0));
@@ -2173,7 +2175,9 @@ void RaddNodeSystem::RetryRead(SiteId client, uint64_t op, bool stale_epoch) {
 void RaddNodeSystem::RetryWrite(SiteId client, uint64_t op, bool stale_epoch) {
   auto it = node(client)->writes.find(op);
   if (it == node(client)->writes.end()) return;
+  // As in RetryRead.
   if (stale_epoch) sim_->Cancel(it->second.timer);
+  it->second.timer = 0;
   if (++it->second.retries > node_config_.max_retries) {
     stats_.Add("node.write_retry_exhausted");
     FinishWrite(client, op, Status::NetworkError("write timed out"));

@@ -122,8 +122,7 @@ SiteState RaddGroup::StateOfMember(int m) const {
 
 bool RaddGroup::BlockReadable(int m, BlockNum row) const {
   if (StateOfMember(m) == SiteState::kDown) return false;
-  Result<BlockRecord> r = SiteOf(m)->store()->Peek(Phys(m, row));
-  return r.ok();
+  return SiteOf(m)->store()->PeekMeta(Phys(m, row)).ok();
 }
 
 void RaddGroup::ChargeRead(SiteId client, int target_member,
@@ -459,7 +458,7 @@ OpResult RaddGroup::Write(SiteId client, int home, BlockNum data_index,
     case SiteState::kRecovering: {
       const bool recovering = StateOfMember(home) == SiteState::kRecovering;
       if (recovering &&
-          !SiteOf(home)->store()->Peek(Phys(home, row)).ok()) {
+          !SiteOf(home)->store()->PeekMeta(Phys(home, row)).ok()) {
         // The block is lost to a disk failure and not yet reconstructed:
         // the system "continues with write operations to the down disks"
         // through the spare (§3.2; Figure 3's disk-failure write = 2 RW).
@@ -732,7 +731,7 @@ Status RaddGroup::RecoverRow(int home, BlockNum row, OpCounts* counts) {
       // intact copy must still agree with the parity's UID array: a row
       // rebuilt from the parity before an in-flight update landed looks
       // readable but is one write behind (§3.3).
-      Result<BlockRecord> lrec = site->store()->Peek(phys);
+      Result<BlockMeta> lrec = site->store()->PeekMeta(phys);
       if (lrec.ok() && !ParityEntrySupersedes(home, row, lrec->uid)) {
         // A copy newer than a leg (the home crashed before flushing its
         // delta) rolls the leg forward from the data. When a second
@@ -768,7 +767,7 @@ Status RaddGroup::RecoverRow(int home, BlockNum row, OpCounts* counts) {
       // drain this record and instead decoded the rows from the
       // parities — which carry every spare-landed write. The record is
       // redundant now, and an up member must never stay shadowed.
-      Result<BlockRecord> lrec = site->store()->Peek(phys);
+      Result<BlockMeta> lrec = site->store()->PeekMeta(phys);
       const bool lost = !lrec.ok() && lrec.status().IsDataLoss();
       if (lost || (lrec.ok() && lrec->uid.valid() &&
                    StateOfMember(lrec->spare_for) == SiteState::kUp)) {
@@ -782,7 +781,7 @@ Status RaddGroup::RecoverRow(int home, BlockNum row, OpCounts* counts) {
     }
   }
   if (role == BlockRole::kData) {
-    Result<BlockRecord> lrec = site->store()->Peek(phys);
+    Result<BlockMeta> lrec = site->store()->PeekMeta(phys);
     if (!lrec.ok()) return lrec.status();
     return ReconcileParityLegs(home, row, lrec->uid, counts);
   }
@@ -858,7 +857,7 @@ Status RaddGroup::RebuildParityRow(int home, BlockNum row, OpCounts* counts,
 
   // Recompute only when the local copy is lost or its UID array disagrees
   // with the gathered logical UIDs (updates missed while down).
-  Result<BlockRecord> lrec = site->store()->Peek(phys);
+  Result<BlockMeta> lrec = site->store()->PeekMeta(phys);
   if (lrec.ok() && ArrayNames(lrec->uid_array, data)) return Status::OK();
 
   BlockRecord prec(config_.block_size);
@@ -875,7 +874,7 @@ Status RaddGroup::RebuildParityRow(int home, BlockNum row, OpCounts* counts,
 std::optional<Uid> RaddGroup::ParityEntry(int pm, int home,
                                           BlockNum row) const {
   if (StateOfMember(pm) != SiteState::kUp) return std::nullopt;
-  Result<BlockRecord> prec = SiteOf(pm)->store()->Peek(Phys(pm, row));
+  Result<BlockMeta> prec = SiteOf(pm)->store()->PeekMeta(Phys(pm, row));
   if (!prec.ok()) return std::nullopt;
   return ArrayEntry(prec->uid_array, home);
 }
@@ -938,7 +937,7 @@ Result<BlockNum> RaddGroup::FirstUnrecoveredRow(int home,
       std::optional<BlockRecord> spare = ValidSpare(row);
       if (spare && spare->spare_for == home) return row;
     }
-    Result<BlockRecord> lrec = site->store()->Peek(phys);
+    Result<BlockMeta> lrec = site->store()->PeekMeta(phys);
     if (!lrec.ok() && lrec.status().IsDataLoss()) return row;
     if (lrec.ok() &&
         map_->RoleOf(static_cast<SiteId>(home), row) == BlockRole::kData &&
@@ -1026,7 +1025,7 @@ Result<int> RaddGroup::ScrubData(int data_member) {
       continue;
     }
     BlockNum phys = Phys(data_member, row);
-    Result<BlockRecord> rec = site->store()->Peek(phys);
+    Result<BlockMeta> rec = site->store()->PeekMeta(phys);
     if (rec.ok() || !rec.status().IsDataLoss()) continue;  // healthy
     OpCounts counts;
     Result<Reconstructed> recon =
@@ -1255,13 +1254,14 @@ bool RaddGroup::TryApplyMove(int new_member, const PlacementMove& mv) {
       if (SpareExists(mv.row)) {
         const int pmr = static_cast<int>(map_->ParitySite(mv.row));
         if (StateOfMember(pmr) != SiteState::kUp) return false;
-        Result<BlockRecord> prow =
-            SiteOf(pmr)->store()->Peek(Phys(pmr, mv.row));
+        Result<BlockMeta> prow =
+            SiteOf(pmr)->store()->PeekMeta(Phys(pmr, mv.row));
         if (!prow.ok()) return false;
         for (SiteId dm : map_->DataSites(mv.row)) {
           const int m = static_cast<int>(dm);
           if (StateOfMember(m) != SiteState::kUp) return false;
-          Result<BlockRecord> drec = SiteOf(m)->store()->Peek(Phys(m, mv.row));
+          Result<BlockMeta> drec =
+              SiteOf(m)->store()->PeekMeta(Phys(m, mv.row));
           if (!drec.ok()) return false;
           if (ArrayEntry(prow->uid_array, m) != drec->uid) return false;
         }

@@ -17,7 +17,7 @@ Status SizeMismatch(size_t got, size_t want) {
 
 uint8_t LegCoeff(int leg, int m) { return leg == 0 ? 1 : GfQCoeff(m); }
 
-Uid ArrayEntry(const std::vector<Uid>& array, int m) {
+Uid ArrayEntry(std::span<const Uid> array, int m) {
   const size_t pos = static_cast<size_t>(m);
   return pos < array.size() ? array[pos] : Uid();
 }
@@ -63,7 +63,7 @@ Result<RowPlan> PlanDecode(int home, std::span<const int> erased,
   return plan;
 }
 
-bool ArrayNames(const std::vector<Uid>& array,
+bool ArrayNames(std::span<const Uid> array,
                 std::span<const RowBlock> data) {
   for (const RowBlock& b : data) {
     if (ArrayEntry(array, b.member) != b.uid) return false;

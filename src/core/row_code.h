@@ -39,7 +39,7 @@ namespace radd {
 uint8_t LegCoeff(int leg, int m);
 
 /// `array`'s entry for member `m`; the invalid UID past its end.
-Uid ArrayEntry(const std::vector<Uid>& array, int m);
+Uid ArrayEntry(std::span<const Uid> array, int m);
 
 /// One data block of a row: the member it belongs to, the UID the legs'
 /// arrays should name for it, and its value.
@@ -95,7 +95,7 @@ Result<RowPlan> PlanDecode(int home, std::span<const int> erased,
                            const PlanHints& hints = {});
 
 /// True when `array` names exactly each block's UID at its member.
-bool ArrayNames(const std::vector<Uid>& array,
+bool ArrayNames(std::span<const Uid> array,
                 std::span<const RowBlock> data);
 
 /// §3.3 over the plan: every source's UID equals each planned leg's entry

@@ -16,17 +16,23 @@ const BlockCache::Entry* BlockCache::Lookup(BlockNum addr) {
 void BlockCache::Insert(BlockNum addr, const Block& data, Uid uid) {
   if (capacity_ == 0) return;
   auto it = map_.find(addr);
-  if (it != map_.end()) {
-    it->second->second = Entry(data, uid);
-    lru_.splice(lru_.begin(), lru_, it->second);
-    return;
+  if (it == map_.end()) {
+    if (map_.size() < capacity_) {
+      lru_.emplace_front(addr, Entry(data, uid));
+      map_.emplace(addr, lru_.begin());
+      return;
+    }
+    // Full: the LRU entry's list node, map node and buffer are recycled
+    // for `addr`, so a warm cache inserts without allocating.
+    auto node = map_.extract(lru_.back().first);
+    node.key() = addr;
+    lru_.back().first = addr;
+    it = map_.insert(std::move(node)).position;
   }
-  lru_.emplace_front(addr, Entry(data, uid));
-  map_[addr] = lru_.begin();
-  if (map_.size() > capacity_) {
-    map_.erase(lru_.back().first);
-    lru_.pop_back();
-  }
+  Entry& e = it->second->second;
+  e.data = data;  // same size: assigns into the existing buffer
+  e.uid = uid;
+  lru_.splice(lru_.begin(), lru_, it->second);
 }
 
 void BlockCache::Invalidate(BlockNum addr) {

@@ -28,12 +28,19 @@ class BlockStore {
 
   virtual Result<BlockRecord> Read(BlockNum block) const = 0;
 
-  /// Like Read but *uncounted*: used for status checks (is this block
-  /// valid? lost?) and for buffered old-value fetches that the paper's
-  /// cost model treats as free ("careful buffering of the old data block
-  /// can remove one of the reads"). Implementations may still count real
-  /// physical work this triggers (e.g. a RAID reconstructing a lost cell).
+  /// Like Read but *uncounted*: used for buffered old-value fetches that
+  /// the paper's cost model treats as free ("careful buffering of the old
+  /// data block can remove one of the reads"). Implementations may still
+  /// count real physical work this triggers (e.g. a RAID reconstructing a
+  /// lost cell). A caller that needs no data bytes uses PeekMeta.
   virtual Result<BlockRecord> Peek(BlockNum block) const = 0;
+
+  /// Peek's status and counters for every block state (unwritten, lost,
+  /// latent error, rotted, a lost cell rebuilt by a local RAID), returning
+  /// only the record's metadata: the status checks (is this block valid?
+  /// lost? which UIDs does it carry?) that §3.3's UID rule runs on. The
+  /// UID-array view stays valid until the store's next mutation.
+  virtual Result<BlockMeta> PeekMeta(BlockNum block) const = 0;
 
   virtual Status Write(BlockNum block, const Block& data, Uid uid) = 0;
   virtual Status WriteRecord(BlockNum block, const BlockRecord& record) = 0;
@@ -59,6 +66,9 @@ class PlainStore : public BlockStore {
   }
   Result<BlockRecord> Peek(BlockNum block) const override {
     return disks_->Read(block);
+  }
+  Result<BlockMeta> PeekMeta(BlockNum block) const override {
+    return disks_->PeekMeta(block);
   }
   Status Write(BlockNum block, const Block& data, Uid uid) override {
     ++ops_.local_writes;

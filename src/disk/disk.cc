@@ -59,21 +59,38 @@ Status SimDisk::CheckReadable(BlockNum block) const {
   return Status::OK();
 }
 
-Result<BlockRecord> SimDisk::Read(BlockNum block) const {
+Result<const BlockRecord*> SimDisk::FindReadable(BlockNum block) const {
   RADD_RETURN_NOT_OK(CheckAddress(block));
   RADD_RETURN_NOT_OK(CheckReadable(block));
   auto it = blocks_.find(block);
-  if (it == blocks_.end()) return BlockRecord(block_size_);
+  if (it == blocks_.end()) return static_cast<const BlockRecord*>(nullptr);
+  const BlockRecord& rec = it->second;
   // End-to-end integrity: the CRC32C stamped at write time must match
   // the bytes the medium returns. A mismatch is silent corruption; report
   // it as DataLoss so the RADD layer reconstructs instead of serving rot.
-  if (it->second.checksum != 0 &&
-      it->second.checksum != StampOf(it->second.data)) {
+  // A verified record's bytes have not changed since the disk stamped
+  // them, so only an unverified one is hashed.
+  if (!rec.verified && rec.checksum != 0 &&
+      rec.checksum != StampOf(rec.data)) {
     ++corruptions_detected_;
     return Status::DataLoss("block " + std::to_string(block) +
                             " failed checksum (silent corruption)");
   }
-  return it->second;
+  return &rec;
+}
+
+Result<BlockRecord> SimDisk::Read(BlockNum block) const {
+  Result<const BlockRecord*> rec = FindReadable(block);
+  if (!rec.ok()) return rec.status();
+  if (*rec == nullptr) return BlockRecord(block_size_);
+  return **rec;
+}
+
+Result<BlockMeta> SimDisk::PeekMeta(BlockNum block) const {
+  Result<const BlockRecord*> rec = FindReadable(block);
+  if (!rec.ok()) return rec.status();
+  if (*rec == nullptr) return BlockMeta{};
+  return MetaOf(**rec);
 }
 
 Status SimDisk::Write(BlockNum block, const Block& data, Uid uid) {
@@ -90,6 +107,7 @@ Status SimDisk::Write(BlockNum block, const Block& data, Uid uid) {
   rec.logical_uid = Uid();
   rec.spare_for = -1;
   rec.checksum = StampOf(rec.data);
+  rec.verified = true;
   lost_.erase(block);
   latent_.erase(block);
   return Status::OK();
@@ -104,6 +122,7 @@ Status SimDisk::WriteRecord(BlockNum block, const BlockRecord& record) {
   rec = record;
   // The disk, not the caller, owns the integrity stamp.
   rec.checksum = StampOf(rec.data);
+  rec.verified = true;
   lost_.erase(block);
   latent_.erase(block);
   return Status::OK();
@@ -144,6 +163,7 @@ Status SimDisk::ApplyMask(BlockNum block, const ChangeMask& mask, Uid uid,
   // The parity block itself also becomes "valid": stamp the triggering UID.
   rec.uid = uid;
   rec.checksum = Stamp(after);
+  rec.verified = true;
   return Status::OK();
 }
 
@@ -177,6 +197,8 @@ Result<bool> SimDisk::CorruptBlock(BlockNum block, uint64_t seed,
   RADD_RETURN_NOT_OK(CheckAddress(block));
   auto it = blocks_.find(block);
   if (it == blocks_.end()) return false;  // nothing materialized to rot
+  // The bytes no longer match the stamp: reads must hash them again.
+  it->second.verified = false;
   Block& data = it->second.data;
   // splitmix64 over the seed picks the bit positions deterministically.
   uint64_t x = seed;
@@ -225,6 +247,14 @@ Result<BlockRecord> DiskArray::Read(BlockNum block) const {
     return Status::NotFound("block beyond array capacity");
   }
   return disks_[static_cast<size_t>(DiskOf(block))].Read(
+      block % blocks_per_disk_);
+}
+
+Result<BlockMeta> DiskArray::PeekMeta(BlockNum block) const {
+  if (block >= total_blocks()) {
+    return Status::NotFound("block beyond array capacity");
+  }
+  return disks_[static_cast<size_t>(DiskOf(block))].PeekMeta(
       block % blocks_per_disk_);
 }
 
@@ -305,7 +335,7 @@ std::vector<BlockNum> DiskArray::LostBlocks() const {
     for (BlockNum b = 0; b < disk.capacity(); ++b) {
       // A block is lost if the disk failed and the block has not been
       // rewritten since.
-      Result<BlockRecord> r = disk.Read(b);
+      Result<BlockMeta> r = disk.PeekMeta(b);
       if (!r.ok() && r.status().IsDataLoss()) {
         out.push_back(static_cast<BlockNum>(d) * blocks_per_disk_ + b);
       }

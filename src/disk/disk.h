@@ -15,17 +15,20 @@
 //     read fails with DataLoss until the block is rewritten;
 //   * silent corruption (bit rot) — the medium returns wrong bytes with no
 //     error. Every write stamps the record with the CRC32C of its bytes
-//     and every read verifies it, so rotted reads are *detected* and
-//     surface as DataLoss (routed to formula-(2) reconstruction by the
-//     RADD layer) instead of being returned to clients. A parity update
-//     verifies the old stamp, XORs the mask in and computes the new stamp
-//     in one pass over the block (common/crc32c.h).
+//     and marks it verified. Injected rot clears the mark, and a read
+//     recomputes the stamp only while the mark is clear, so each stored
+//     version is hashed once, yet every read of rotted bytes is *detected*
+//     and surfaces as DataLoss (routed to formula-(2) reconstruction by
+//     the RADD layer) instead of being returned to clients. A parity
+//     update verifies the old stamp, XORs the mask in and computes the new
+//     stamp in one pass over the block (common/crc32c.h).
 
 #ifndef RADD_DISK_DISK_H_
 #define RADD_DISK_DISK_H_
 
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
@@ -67,12 +70,34 @@ struct BlockRecord {
   int32_t spare_for = -1;
   /// Integrity stamp: the CRC32C of `data`, set by the disk on every write
   /// and kept nonzero (a CRC of 0 is stamped as 1), because 0 means
-  /// untracked (never-written blocks). Read and ApplyMask verify it so
-  /// silent corruption is detected instead of served or spread.
+  /// untracked (never-written blocks). ApplyMask always checks it, and
+  /// reads check it while `verified` is clear, so silent corruption is
+  /// detected instead of served or spread.
   uint32_t checksum = 0;
+  /// True while `data` is known to match `checksum`: set by the writers,
+  /// which compute the stamp themselves, and cleared by anything that
+  /// changes the bytes behind the stamp (CorruptBlock). Reads never set
+  /// it, so a const read writes nothing and a rotted block stays
+  /// unverified, and detected on every read, until it is rewritten.
+  bool verified = false;
 
   explicit BlockRecord(size_t block_size) : data(block_size) {}
 };
+
+/// A stored block's metadata, read in place without copying its data.
+/// `uid_array` views the stored record: it stays valid until the next
+/// mutation of the store it came from.
+struct BlockMeta {
+  Uid uid;
+  Uid logical_uid;
+  int32_t spare_for = -1;
+  std::span<const Uid> uid_array;
+};
+
+/// `rec`'s metadata, viewing its UID array.
+inline BlockMeta MetaOf(const BlockRecord& rec) {
+  return BlockMeta{rec.uid, rec.logical_uid, rec.spare_for, rec.uid_array};
+}
 
 /// One simulated disk: `capacity` blocks of `block_size` bytes.
 class SimDisk {
@@ -93,6 +118,10 @@ class SimDisk {
   /// An address that was never written reads as an all-zero block with an
   /// invalid UID (the paper's initial state).
   Result<BlockRecord> Read(BlockNum block) const;
+
+  /// Read's status and corruption counting, returning only the record's
+  /// metadata, in place.
+  Result<BlockMeta> PeekMeta(BlockNum block) const;
 
   /// Overwrites `block` with `data`, stamping `uid`. Clears any loss mark
   /// and any spare bookkeeping (the block becomes a plain valid block).
@@ -146,6 +175,10 @@ class SimDisk {
   BlockRecord& GetOrCreate(BlockNum block);
   /// DataLoss if `block` is lost or latent-errored; OK otherwise.
   Status CheckReadable(BlockNum block) const;
+  /// The stored record behind a read of `block` (null if never written),
+  /// or the read's error. Recomputes the stamp only for an unverified
+  /// record, counting a mismatch as a detected corruption.
+  Result<const BlockRecord*> FindReadable(BlockNum block) const;
 
   BlockNum capacity_;
   size_t block_size_;
@@ -187,6 +220,7 @@ class DiskArray {
 
   /// Flat-address forms of the SimDisk operations.
   Result<BlockRecord> Read(BlockNum block) const;
+  Result<BlockMeta> PeekMeta(BlockNum block) const;
   Status Write(BlockNum block, const Block& data, Uid uid);
   Status WriteRecord(BlockNum block, const BlockRecord& record);
   Status ApplyMask(BlockNum block, const ChangeMask& mask, Uid uid,

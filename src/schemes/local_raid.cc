@@ -27,8 +27,10 @@ BlockNum LocalRaid::PhysOf(int disk, BlockNum stripe) const {
   return static_cast<BlockNum>(disk) * stripes_ + stripe;
 }
 
-void LocalRaid::SaveMeta(BlockNum phys, const BlockRecord& rec) const {
-  meta_[phys] = Meta{rec.uid, rec.uid_array, rec.logical_uid, rec.spare_for};
+void LocalRaid::SaveMeta(BlockNum phys, const BlockMeta& meta) const {
+  meta_[phys] = Meta{meta.uid,
+                     {meta.uid_array.begin(), meta.uid_array.end()},
+                     meta.logical_uid, meta.spare_for};
 }
 
 void LocalRaid::RestoreMeta(BlockNum phys, BlockRecord* rec) const {
@@ -106,6 +108,23 @@ Result<BlockRecord> LocalRaid::Peek(BlockNum block) const {
   return out;
 }
 
+Result<BlockMeta> LocalRaid::PeekMeta(BlockNum block) const {
+  if (block >= data_blocks_) {
+    return Status::NotFound("logical block beyond RAID capacity");
+  }
+  Addr a = AddrOf(block);
+  Result<BlockMeta> meta = disks_->PeekMeta(a.phys);
+  if (meta.ok() || !meta.status().IsDataLoss()) return meta;
+  // As in Peek: a lost cell is still reconstructed (and counted), and a
+  // second loss in its stripe fails the peek. Its metadata is the mirror.
+  Result<Block> data = ReconstructCell(a.disk, a.stripe);
+  if (!data.ok()) return data.status();
+  auto it = meta_.find(a.phys);
+  if (it == meta_.end()) return BlockMeta{};
+  return BlockMeta{it->second.uid, it->second.logical_uid,
+                   it->second.spare_for, it->second.uid_array};
+}
+
 Status LocalRaid::Write(BlockNum block, const Block& data, Uid uid) {
   if (block >= data_blocks_) {
     return Status::NotFound("logical block beyond RAID capacity");
@@ -134,7 +153,7 @@ Status LocalRaid::Write(BlockNum block, const Block& data, Uid uid) {
   }
   RADD_RETURN_NOT_OK(disks_->Write(a.phys, data, uid));
   {
-    BlockRecord written(disks_->block_size());
+    BlockMeta written;
     written.uid = uid;
     SaveMeta(a.phys, written);
   }
@@ -172,7 +191,7 @@ Status LocalRaid::WriteRecord(BlockNum block, const BlockRecord& record) {
     return old.status();
   }
   RADD_RETURN_NOT_OK(disks_->WriteRecord(a.phys, record));
-  SaveMeta(a.phys, record);
+  SaveMeta(a.phys, MetaOf(record));
   ++ops_.local_writes;
   if (stripe_unrecoverable) return PoisonLocalParity(a.stripe);
   Result<ChangeMask> mask = ChangeMask::Diff(old_value, record.data);
@@ -201,7 +220,7 @@ Status LocalRaid::ApplyMask(BlockNum block, const ChangeMask& mask, Uid uid,
   }
   RADD_RETURN_NOT_OK(st);
   {
-    Result<BlockRecord> now = disks_->Read(a.phys);
+    Result<BlockMeta> now = disks_->PeekMeta(a.phys);
     if (now.ok()) SaveMeta(a.phys, *now);
   }
   ++ops_.local_writes;
@@ -219,7 +238,7 @@ Status LocalRaid::Invalidate(BlockNum block) {
   // Metadata-only change: contents untouched, so local parity is
   // unaffected.
   RADD_RETURN_NOT_OK(disks_->Invalidate(a.phys));
-  Result<BlockRecord> now = disks_->Read(a.phys);
+  Result<BlockMeta> now = disks_->PeekMeta(a.phys);
   if (now.ok()) SaveMeta(a.phys, *now);
   return Status::OK();
 }
@@ -272,7 +291,7 @@ Result<OpCounts> LocalRaid::Rebuild() {
     if (!disks_->DiskFailed(d)) continue;
     for (BlockNum stripe = 0; stripe < stripes_; ++stripe) {
       BlockNum phys = PhysOf(d, stripe);
-      Result<BlockRecord> rec = disks_->Read(phys);
+      Result<BlockMeta> rec = disks_->PeekMeta(phys);
       if (rec.ok()) continue;  // already repaired (e.g. on read)
       if (!rec.status().IsDataLoss()) return rec.status();
       BlockRecord out(disks_->block_size());

@@ -48,6 +48,7 @@ class LocalRaid : public BlockStore {
 
   Result<BlockRecord> Read(BlockNum block) const override;
   Result<BlockRecord> Peek(BlockNum block) const override;
+  Result<BlockMeta> PeekMeta(BlockNum block) const override;
   Status Write(BlockNum block, const Block& data, Uid uid) override;
   Status WriteRecord(BlockNum block, const BlockRecord& record) override;
   Status ApplyMask(BlockNum block, const ChangeMask& mask, Uid uid,
@@ -107,7 +108,7 @@ class LocalRaid : public BlockStore {
     Uid logical_uid;
     int32_t spare_for = -1;
   };
-  void SaveMeta(BlockNum phys, const BlockRecord& rec) const;
+  void SaveMeta(BlockNum phys, const BlockMeta& meta) const;
   void RestoreMeta(BlockNum phys, BlockRecord* rec) const;
 
   DiskArray* disks_;

@@ -103,9 +103,12 @@ class Simulator {
   /// and is not returned); same-shard calls behave exactly like At().
   uint64_t AtShard(int shard, SimTime when, Callback fn);
 
-  /// Cancels a pending event scheduled from this shard. Returns false if
-  /// the event already fired or was cancelled. O(1) — the event is
-  /// tombstoned, not removed.
+  /// Cancels a pending event scheduled from this shard. O(1) — the event
+  /// is tombstoned, not removed. Returns false for id 0, an id this shard
+  /// never issued, or one already cancelled. A fired event's id is not
+  /// tracked: Cancel returns true for it and keeps a tombstone that no
+  /// later event ever matches, so a caller forgets an id once its event
+  /// fires (zeroing a stored timer id in the timer's own callback).
   bool Cancel(uint64_t event_id);
 
   /// Runs events until every queue is empty. Returns the final time.

@@ -390,6 +390,36 @@ TEST_F(ChaosNodeTest, SilentCorruptionDetectedAndReconstructed) {
   EXPECT_GE(cluster_->site(SiteOf(1))->disks()->corruptions_detected(), 1u);
 }
 
+TEST_F(ChaosNodeTest, RottedParityRefusesABatchedDelta) {
+  // The parity was verified when it was written; rot afterwards must still
+  // stop a batch entry's delta at apply time, not be folded into it.
+  ASSERT_TRUE(sys_->Write(SiteOf(2), 0, 2, 3, Pat(1)).status.ok());
+  sim_->Run();
+  const BlockNum row = RowOf(2, 3);
+  const int pm = static_cast<int>(sys_->layout(0).ParitySite(row));
+  DiskArray* parity_disks = cluster_->site(SiteOf(pm))->disks();
+  ASSERT_TRUE(parity_disks->Read(row).ok());
+  ASSERT_TRUE(parity_disks->CorruptBlock(row, /*seed=*/0x5eed).value());
+
+  auto w = sys_->Write(SiteOf(2), 0, 2, 3, Pat(2));
+  sim_->Run();
+  // Every attempt's entry is refused, so the write fails (§5: no parity
+  // ack, no acknowledged write) and the rot is never folded in.
+  EXPECT_TRUE(w.status.IsDataLoss()) << w.status.ToString();
+  const uint64_t refused = sys_->stats().Get("node.parity_apply_failed");
+  EXPECT_GT(refused, 0u);
+  // Each entry counts the rot at receipt, at apply time and in ApplyMask.
+  EXPECT_EQ(parity_disks->corruptions_detected(), 3 * refused);
+  EXPECT_TRUE(parity_disks->Read(row).status().IsDataLoss());
+  // The scrub rebuilds the parity from the row's data, which holds the
+  // failed write's local copy.
+  ScrubAll();
+  EXPECT_TRUE(sys_->group(0)->VerifyInvariants().ok());
+  auto r = sys_->Read(SiteOf(0), 0, 2, 3);
+  ASSERT_TRUE(r.status.ok()) << r.status.ToString();
+  EXPECT_EQ(r.data, Pat(2));
+}
+
 TEST_F(ChaosNodeTest, ScrubDataRepairsLatentBlocks) {
   for (BlockNum i = 0; i < sys_->group(0)->DataBlocksPerMember(); ++i) {
     ASSERT_TRUE(sys_->Write(SiteOf(1), 0, 1, i, Pat(40 + i)).status.ok());

@@ -394,6 +394,131 @@ TEST(SimDisk, RewriteClearsRot) {
   EXPECT_EQ(disk.corruptions_detected(), 1u);
 }
 
+// A stored version is hashed once, so each path that stores or changes a
+// block must leave rot that comes after it detectable: whatever the last
+// mutator was, rotting block 2 makes the next Read and the next PeekMeta
+// each report DataLoss and count one detection.
+constexpr BlockNum kRotBlock = 2;
+
+void ExpectNextRotDetected(SimDisk& disk, uint64_t seed = 41) {
+  ASSERT_TRUE(disk.CorruptBlock(kRotBlock, seed).value());
+  const uint64_t before = disk.corruptions_detected();
+  EXPECT_TRUE(disk.Read(kRotBlock).status().IsDataLoss());
+  EXPECT_EQ(disk.corruptions_detected(), before + 1);
+  EXPECT_TRUE(disk.PeekMeta(kRotBlock).status().IsDataLoss());
+  EXPECT_EQ(disk.corruptions_detected(), before + 2);
+}
+
+TEST(SimDiskVerifiedBit, RotAfterWriteIsDetected) {
+  SimDisk disk(4, 256);
+  ASSERT_TRUE(disk.Write(kRotBlock, Pat(1), Uid::Make(1, 1)).ok());
+  ASSERT_TRUE(disk.Read(kRotBlock).ok());
+  ExpectNextRotDetected(disk);
+}
+
+TEST(SimDiskVerifiedBit, RotAfterWriteRecordIsDetected) {
+  SimDisk disk(4, 256);
+  // The caller's stamp and verified bit are ignored: the disk owns both.
+  BlockRecord rec(256);
+  rec.data = Pat(2);
+  rec.uid = Uid::Make(1, 1);
+  rec.checksum = 12345;
+  rec.verified = true;
+  ASSERT_TRUE(disk.WriteRecord(kRotBlock, rec).ok());
+  ExpectNextRotDetected(disk);
+}
+
+TEST(SimDiskVerifiedBit, RotAfterApplyMaskIsDetected) {
+  SimDisk disk(4, 256);
+  ASSERT_TRUE(disk.Write(kRotBlock, Pat(3), Uid::Make(1, 1)).ok());
+  ChangeMask mask = ChangeMask::Diff(Pat(3), Pat(4)).value();
+  ASSERT_TRUE(disk.ApplyMask(kRotBlock, mask, Uid::Make(2, 1), 0, 3).ok());
+  ExpectNextRotDetected(disk);
+}
+
+TEST(SimDiskVerifiedBit, RotAfterRefusedApplyMaskIsDetected) {
+  SimDisk disk(4, 256);
+  ASSERT_TRUE(disk.Write(kRotBlock, Pat(3), Uid::Make(1, 1)).ok());
+  ASSERT_TRUE(disk.CorruptBlock(kRotBlock, /*seed=*/9).value());
+  ChangeMask mask = ChangeMask::Diff(Pat(3), Pat(4)).value();
+  EXPECT_TRUE(disk.ApplyMask(kRotBlock, mask, Uid::Make(2, 1), 0, 3)
+                  .IsDataLoss());
+  EXPECT_EQ(disk.corruptions_detected(), 1u);
+  ExpectNextRotDetected(disk);
+}
+
+TEST(SimDiskVerifiedBit, RotAfterInvalidateIsDetected) {
+  SimDisk disk(4, 256);
+  ASSERT_TRUE(disk.Write(kRotBlock, Pat(5), Uid::Make(1, 1)).ok());
+  ASSERT_TRUE(disk.Invalidate(kRotBlock).ok());
+  ExpectNextRotDetected(disk);
+}
+
+TEST(SimDiskVerifiedBit, RotAfterDiscardAndRewriteIsDetected) {
+  SimDisk disk(4, 256);
+  ASSERT_TRUE(disk.Write(kRotBlock, Pat(6), Uid::Make(1, 1)).ok());
+  ASSERT_TRUE(disk.Discard(kRotBlock).ok());
+  EXPECT_FALSE(disk.CorruptBlock(kRotBlock, /*seed=*/9).value());
+  EXPECT_TRUE(disk.PeekMeta(kRotBlock).status().IsDataLoss());
+  ASSERT_TRUE(disk.WriteRecord(kRotBlock, BlockRecord(256)).ok());
+  ExpectNextRotDetected(disk);
+  EXPECT_EQ(disk.corruptions_detected(), 2u);
+}
+
+TEST(SimDiskVerifiedBit, RotUnderALatentErrorIsDetectedAfterRewrite) {
+  SimDisk disk(4, 256);
+  ASSERT_TRUE(disk.Write(kRotBlock, Pat(7), Uid::Make(1, 1)).ok());
+  ASSERT_TRUE(disk.InjectLatentError(kRotBlock).ok());
+  // The unreadable sector fails first: rot under it is not counted.
+  ASSERT_TRUE(disk.CorruptBlock(kRotBlock, /*seed=*/9).value());
+  EXPECT_TRUE(disk.Read(kRotBlock).status().IsDataLoss());
+  EXPECT_TRUE(disk.PeekMeta(kRotBlock).status().IsDataLoss());
+  EXPECT_EQ(disk.corruptions_detected(), 0u);
+  ASSERT_TRUE(disk.Write(kRotBlock, Pat(8), Uid::Make(1, 2)).ok());
+  ExpectNextRotDetected(disk);
+}
+
+TEST(SimDiskVerifiedBit, SecondCorruptionIsDetected) {
+  SimDisk disk(4, 256);
+  ASSERT_TRUE(disk.Write(kRotBlock, Pat(9), Uid::Make(1, 1)).ok());
+  ASSERT_TRUE(disk.CorruptBlock(kRotBlock, /*seed=*/9).value());
+  EXPECT_TRUE(disk.Read(kRotBlock).status().IsDataLoss());
+  EXPECT_EQ(disk.corruptions_detected(), 1u);
+  ExpectNextRotDetected(disk);
+}
+
+TEST(SimDiskVerifiedBit, RotAfterFailAndRewriteIsDetected) {
+  SimDisk disk(4, 256);
+  ASSERT_TRUE(disk.Write(kRotBlock, Pat(10), Uid::Make(1, 1)).ok());
+  disk.Fail();
+  ASSERT_TRUE(disk.Write(kRotBlock, Pat(11), Uid::Make(1, 2)).ok());
+  ExpectNextRotDetected(disk);
+}
+
+TEST(SimDisk, PeekMetaViewsTheStoredRecord) {
+  SimDisk disk(4, 256);
+  Result<BlockMeta> unwritten = disk.PeekMeta(0);
+  ASSERT_TRUE(unwritten.ok());
+  EXPECT_FALSE(unwritten->uid.valid());
+  EXPECT_EQ(unwritten->spare_for, -1);
+  EXPECT_TRUE(unwritten->uid_array.empty());
+  BlockRecord rec(256);
+  rec.data = Pat(12);
+  rec.uid = Uid::Make(1, 3);
+  rec.uid_array = {Uid::Make(2, 1), Uid(), Uid::Make(3, 1)};
+  rec.logical_uid = Uid::Make(1, 2);
+  rec.spare_for = 1;
+  ASSERT_TRUE(disk.WriteRecord(1, rec).ok());
+  Result<BlockMeta> meta = disk.PeekMeta(1);
+  ASSERT_TRUE(meta.ok());
+  EXPECT_EQ(meta->uid, rec.uid);
+  EXPECT_EQ(meta->logical_uid, rec.logical_uid);
+  EXPECT_EQ(meta->spare_for, 1);
+  EXPECT_TRUE(std::equal(meta->uid_array.begin(), meta->uid_array.end(),
+                         rec.uid_array.begin(), rec.uid_array.end()));
+  EXPECT_TRUE(disk.PeekMeta(4).status().IsNotFound());
+}
+
 TEST(SimDisk, CorruptingUnmaterializedBlockIsANoOp) {
   SimDisk disk(4, 256);
   Result<bool> rotted = disk.CorruptBlock(0, /*seed=*/7);

@@ -241,6 +241,35 @@ TEST(BlockCache, InsertUpdatesInPlace) {
   EXPECT_EQ(cache.size(), 1u);
 }
 
+TEST(BlockCache, FullCacheRecyclesTheLruEntry) {
+  BlockCache cache(3);
+  for (BlockNum a = 1; a <= 5; ++a) {
+    cache.Insert(a, PatternBlock(a), Uid(10 + a));  // 4 and 5 evict 1, 2
+  }
+  EXPECT_EQ(cache.size(), 3u);
+  // An update moves the entry to MRU without evicting: 4, 5, 3.
+  cache.Insert(4, PatternBlock(40), Uid(40));
+  EXPECT_EQ(cache.size(), 3u);
+  cache.Insert(6, PatternBlock(6), Uid(16));  // evicts 3
+  cache.Insert(7, PatternBlock(7), Uid(17));  // evicts 5
+  EXPECT_EQ(cache.size(), 3u);
+  for (BlockNum gone : {1, 2, 3, 5}) {
+    EXPECT_EQ(cache.Lookup(gone), nullptr) << gone;
+  }
+  // The recycled buffers serve their new bytes.
+  const struct {
+    BlockNum addr;
+    uint64_t pattern;
+    Uid uid;
+  } kept[] = {{4, 40, Uid(40)}, {6, 6, Uid(16)}, {7, 7, Uid(17)}};
+  for (const auto& k : kept) {
+    const BlockCache::Entry* e = cache.Lookup(k.addr);
+    ASSERT_NE(e, nullptr) << k.addr;
+    EXPECT_EQ(e->uid, k.uid);
+    EXPECT_EQ(e->data, PatternBlock(k.pattern));
+  }
+}
+
 TEST(BlockCache, InvalidateAndClear) {
   BlockCache cache(4);
   cache.Insert(1, PatternBlock(1), Uid(11));

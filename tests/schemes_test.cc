@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <ostream>
 
 #include "schemes/local_raid.h"
@@ -131,6 +132,92 @@ TEST_F(LocalRaidTest, DoubleDiskFailureLosesData) {
   Result<BlockRecord> r = raid_.Read(0);
   EXPECT_FALSE(r.ok());
   EXPECT_TRUE(r.status().IsDataLoss());
+}
+
+// ---------------------------------------------------------------------------
+// PeekMeta answers exactly as Peek does: same status, metadata, physical
+// ops and detected corruptions, in every block state.
+// ---------------------------------------------------------------------------
+
+void ExpectPeekMetaMatchesPeek(const BlockStore& store,
+                               const DiskArray& disks, BlockNum block) {
+  SCOPED_TRACE("block " + std::to_string(block));
+  const OpCounts ops0 = store.PhysicalOps();
+  const uint64_t rot0 = disks.corruptions_detected();
+  Result<BlockRecord> rec = store.Peek(block);
+  const OpCounts ops1 = store.PhysicalOps();
+  const uint64_t rot1 = disks.corruptions_detected();
+  Result<BlockMeta> meta = store.PeekMeta(block);
+  EXPECT_EQ(meta.status().code(), rec.status().code());
+  EXPECT_EQ(store.PhysicalOps() - ops1, ops1 - ops0);
+  EXPECT_EQ(disks.corruptions_detected() - rot1, rot1 - rot0);
+  if (!rec.ok() || !meta.ok()) return;
+  EXPECT_EQ(meta->uid, rec->uid);
+  EXPECT_EQ(meta->logical_uid, rec->logical_uid);
+  EXPECT_EQ(meta->spare_for, rec->spare_for);
+  EXPECT_TRUE(std::equal(meta->uid_array.begin(), meta->uid_array.end(),
+                         rec->uid_array.begin(), rec->uid_array.end()));
+}
+
+BlockRecord SpareRecord(uint64_t seed) {
+  BlockRecord rec(512);
+  rec.data = Pat(seed);
+  rec.uid = Uid::Make(3, seed);
+  rec.uid_array = {Uid::Make(1, seed), Uid(), Uid::Make(2, seed)};
+  rec.logical_uid = Uid::Make(3, seed + 100);
+  rec.spare_for = 2;
+  return rec;
+}
+
+TEST(PeekMeta, PlainStoreMatchesPeekInEveryState) {
+  DiskArray disks(2, 8, 512);
+  PlainStore store(&disks);
+  ASSERT_TRUE(store.Write(1, Pat(1), Uid::Make(0, 1)).ok());
+  ASSERT_TRUE(store.WriteRecord(2, SpareRecord(2)).ok());
+  ChangeMask mask = ChangeMask::Diff(Block(512), Pat(3)).value();
+  ASSERT_TRUE(store.ApplyMask(3, mask, Uid::Make(1, 1), 1, 4).ok());
+  ASSERT_TRUE(store.Write(4, Pat(4), Uid::Make(0, 2)).ok());
+  ASSERT_TRUE(disks.InjectLatentError(4).ok());
+  ASSERT_TRUE(store.Write(5, Pat(5), Uid::Make(0, 3)).ok());
+  ASSERT_TRUE(disks.CorruptBlock(5, /*seed=*/7).value());
+  ASSERT_TRUE(disks.FailDisk(1).ok());
+  // Unwritten, plain, spare, parity, latent, rotted, lost, out of range.
+  for (BlockNum b : {0, 1, 2, 3, 4, 5, 9, 16}) {
+    ExpectPeekMetaMatchesPeek(store, disks, b);
+  }
+  EXPECT_EQ(disks.corruptions_detected(), 2u);
+}
+
+TEST_F(LocalRaidTest, PeekMetaMatchesPeekInEveryState) {
+  ASSERT_TRUE(raid_.Write(0, Pat(1), Uid::Make(0, 1)).ok());
+  ASSERT_TRUE(raid_.WriteRecord(1, SpareRecord(2)).ok());
+  ChangeMask mask = ChangeMask::Diff(Block(512), Pat(3)).value();
+  ASSERT_TRUE(raid_.ApplyMask(2, mask, Uid::Make(1, 1), 1, 4).ok());
+  for (BlockNum b : {0, 1, 2, 3, 64}) {
+    ExpectPeekMetaMatchesPeek(raid_, disks_, b);
+  }
+  // A rotted cell is reconstructed like a lost one, metadata and all.
+  const BlockNum cell2 = disks_.blocks_per_disk() * raid_.DiskOfLogical(2);
+  ASSERT_TRUE(disks_.CorruptBlock(cell2, /*seed=*/5).value());
+  ExpectPeekMetaMatchesPeek(raid_, disks_, 2);
+  EXPECT_EQ(disks_.corruptions_detected(), 2u);
+  ASSERT_TRUE(raid_.Write(2, Pat(4), Uid::Make(0, 2)).ok());  // repairs it
+  // A lost cell is reconstructed (and counted) from its stripe.
+  ASSERT_TRUE(raid_.FailDisk(raid_.DiskOfLogical(1)).ok());
+  for (BlockNum b : {0, 1, 2, 3}) ExpectPeekMetaMatchesPeek(raid_, disks_, b);
+  const OpCounts before = raid_.PhysicalOps();
+  Result<BlockMeta> lost = raid_.PeekMeta(1);
+  ASSERT_TRUE(lost.ok());
+  // The G other non-spare cells of the stripe.
+  EXPECT_EQ((raid_.PhysicalOps() - before).local_reads, 8u);
+  EXPECT_EQ(lost->spare_for, 2);
+  EXPECT_EQ(lost->logical_uid, SpareRecord(2).logical_uid);
+  ASSERT_EQ(lost->uid_array.size(), 3u);
+  EXPECT_EQ(lost->uid_array[2], SpareRecord(2).uid_array[2]);
+  // A second loss in the stripe fails both the same way.
+  ASSERT_TRUE(raid_.FailDisk(raid_.DiskOfLogical(0)).ok());
+  ASSERT_FALSE(raid_.Peek(1).ok());
+  for (BlockNum b : {0, 1, 2, 3}) ExpectPeekMetaMatchesPeek(raid_, disks_, b);
 }
 
 // ---------------------------------------------------------------------------
