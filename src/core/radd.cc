@@ -162,6 +162,15 @@ std::optional<BlockRecord> RaddGroup::ValidSpare(BlockNum row) const {
   return std::move(srec).value();
 }
 
+std::optional<BlockMeta> RaddGroup::ValidSpareMeta(BlockNum row) const {
+  if (!SpareExists(row)) return std::nullopt;
+  const int sm = static_cast<int>(map_->SpareSite(row));
+  if (StateOfMember(sm) == SiteState::kDown) return std::nullopt;
+  Result<BlockMeta> srec = SiteOf(sm)->store()->PeekMeta(Phys(sm, row));
+  if (!srec.ok() || !srec->uid.valid()) return std::nullopt;
+  return *srec;
+}
+
 Result<BlockRecord> RaddGroup::ReadPhys(int m, BlockNum row) const {
   if (StateOfMember(m) == SiteState::kDown) {
     return Status::Unavailable("site " +
@@ -364,7 +373,7 @@ Result<RaddGroup::Reconstructed> RaddGroup::Reconstruct(SiteId client,
     // A valid spare stands in for the data member it shadows: the member's
     // own copy is stale or gone, but the legs already carry the
     // spare-absorbed deltas and the arrays record the spare's logical UID.
-    const std::optional<BlockRecord> spare = ValidSpare(row);
+    const std::optional<BlockMeta> spare = ValidSpareMeta(row);
     const int shadowed_dm = spare ? spare->spare_for : -1;
     std::vector<int> sources;
     std::vector<int> erased;
@@ -934,7 +943,7 @@ Result<BlockNum> RaddGroup::FirstUnrecoveredRow(int home,
       // A valid spare shadowing this member must be drained before MarkUp:
       // a spare shadowing an up member violates the group invariant, and
       // the writes it holds would be lost to readers going to the home.
-      std::optional<BlockRecord> spare = ValidSpare(row);
+      std::optional<BlockMeta> spare = ValidSpareMeta(row);
       if (spare && spare->spare_for == home) return row;
     }
     Result<BlockMeta> lrec = site->store()->PeekMeta(phys);
@@ -984,7 +993,7 @@ Result<int> RaddGroup::ScrubParity(int parity_member) {
       recs.push_back(std::move(rec).value());
       data.push_back({m, recs.back().uid, &recs.back().data});
     }
-    if (auditable && ValidSpare(row)) auditable = false;  // degraded row
+    if (auditable && ValidSpareMeta(row)) auditable = false;  // degraded row
     if (!auditable) {
       stats_.Add("radd.scrub_skipped");
       continue;
@@ -1293,7 +1302,7 @@ bool RaddGroup::TryApplyMove(int new_member, const PlacementMove& mv) {
     if (!prec.ok()) return false;
     const Uid entry = ArrayEntry(prec->uid_array, mv.donor);
     if (entry != rec->uid) return false;
-    std::optional<BlockRecord> spare = ValidSpare(mv.row);
+    std::optional<BlockMeta> spare = ValidSpareMeta(mv.row);
     if (spare && spare->spare_for == mv.donor) return false;
     fixed_parity = std::move(prec).value();
     if (fixed_parity->uid_array.size() <

@@ -291,6 +291,9 @@ class RaddGroup {
   /// The record of `row`'s spare while it shadows a member: the row has a
   /// spare, its site is not down, and the block reads with a valid UID.
   std::optional<BlockRecord> ValidSpare(BlockNum row) const;
+  /// ValidSpare's metadata, read in place, for the callers that ask only
+  /// whether the spare is live and which member it shadows.
+  std::optional<BlockMeta> ValidSpareMeta(BlockNum row) const;
 
   // --- accounting -------------------------------------------------------
   void ChargeRead(SiteId client, int target_member, OpCounts* c) const;
