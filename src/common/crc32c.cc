@@ -48,7 +48,6 @@ inline uint64_t Load64(const uint8_t* p) {
   std::memcpy(&v, p, sizeof(v));
   return v;
 }
-inline void Store64(uint8_t* p, uint64_t v) { std::memcpy(p, &v, sizeof(v)); }
 
 // x^k mod P, in the CRC register's reflected bit order (x^0 is the top bit;
 // one multiply-by-x is one step of the bitwise CRC).
@@ -95,54 +94,17 @@ RADD_CRC_HW inline uint64_t Stripe(uint64_t c0, const uint8_t* p,
   return Shift(Shift(c0, k) ^ c1, k) ^ c2;
 }
 
-// The same stripe over the parity-apply pass: each word's CRC before and
-// after the XOR, six chains in all.
-template <size_t kLen>
-RADD_CRC_HW inline void XorStripe(uint64_t* before, uint64_t* after,
-                                  uint8_t* p, const uint8_t* d, uint32_t k) {
-  uint64_t b0 = *before, b1 = 0, b2 = 0;
-  uint64_t a0 = *after, a1 = 0, a2 = 0;
-  for (size_t i = 0; i < kLen; i += 8) {
-    uint64_t w0 = Load64(p + i);
-    uint64_t w1 = Load64(p + kLen + i);
-    uint64_t w2 = Load64(p + 2 * kLen + i);
-    b0 = _mm_crc32_u64(b0, w0);
-    b1 = _mm_crc32_u64(b1, w1);
-    b2 = _mm_crc32_u64(b2, w2);
-    w0 ^= Load64(d + i);
-    w1 ^= Load64(d + kLen + i);
-    w2 ^= Load64(d + 2 * kLen + i);
-    Store64(p + i, w0);
-    Store64(p + kLen + i, w1);
-    Store64(p + 2 * kLen + i, w2);
-    a0 = _mm_crc32_u64(a0, w0);
-    a1 = _mm_crc32_u64(a1, w1);
-    a2 = _mm_crc32_u64(a2, w2);
-  }
-  *before = Shift(Shift(b0, k) ^ b1, k) ^ b2;
-  *after = Shift(Shift(a0, k) ^ a1, k) ^ a2;
-}
-
 #endif  // RADD_CRC32C_X86
 
 using ExtendFn = uint32_t (*)(uint32_t, const uint8_t*, size_t);
-using XorApplyFn = uint32_t (*)(uint8_t*, const uint8_t*, size_t, uint32_t*);
-
-struct Kernels {
-  ExtendFn extend;
-  XorApplyFn xor_apply;
-};
 
 // Chosen on first use; a function-local static, so concurrent first calls
 // from the sharded engine's threads initialise it exactly once.
-const Kernels& Selected() {
-  static const Kernels kKernels =
-      internal::HardwareCrc32c()
-          ? Kernels{internal::Crc32cExtendHardware,
-                    internal::Crc32cXorApplyHardware}
-          : Kernels{internal::Crc32cExtendTable,
-                    internal::Crc32cXorApplyTable};
-  return kKernels;
+ExtendFn Selected() {
+  static const ExtendFn kExtend = internal::HardwareCrc32c()
+                                      ? internal::Crc32cExtendHardware
+                                      : internal::Crc32cExtendTable;
+  return kExtend;
 }
 
 }  // namespace
@@ -169,20 +131,6 @@ uint32_t Crc32cExtendTable(uint32_t crc, const uint8_t* data, size_t n) {
   return ~crc;
 }
 
-uint32_t Crc32cXorApplyTable(uint8_t* data, const uint8_t* delta, size_t n,
-                             uint32_t* before) {
-  const std::array<uint32_t, 256>& table = Table();
-  uint32_t b = ~0u;
-  uint32_t a = ~0u;
-  for (size_t i = 0; i < n; ++i) {
-    b = TableStep(table, b, data[i]);
-    data[i] ^= delta[i];
-    a = TableStep(table, a, data[i]);
-  }
-  *before = ~b;
-  return ~a;
-}
-
 #if RADD_CRC32C_X86
 
 RADD_CRC_HW uint32_t Crc32cExtendHardware(uint32_t crc, const uint8_t* data,
@@ -200,46 +148,10 @@ RADD_CRC_HW uint32_t Crc32cExtendHardware(uint32_t crc, const uint8_t* data,
   return ~c32;
 }
 
-RADD_CRC_HW uint32_t Crc32cXorApplyHardware(uint8_t* data,
-                                            const uint8_t* delta, size_t n,
-                                            uint32_t* before) {
-  uint64_t b = 0xFFFFFFFFu;
-  uint64_t a = 0xFFFFFFFFu;
-  for (; n >= 3 * kLong; data += 3 * kLong, delta += 3 * kLong,
-                         n -= 3 * kLong) {
-    XorStripe<kLong>(&b, &a, data, delta, kLongShift);
-  }
-  for (; n >= 3 * kShort; data += 3 * kShort, delta += 3 * kShort,
-                          n -= 3 * kShort) {
-    XorStripe<kShort>(&b, &a, data, delta, kShortShift);
-  }
-  for (; n >= 8; data += 8, delta += 8, n -= 8) {
-    const uint64_t w = Load64(data);
-    const uint64_t x = w ^ Load64(delta);
-    b = _mm_crc32_u64(b, w);
-    Store64(data, x);
-    a = _mm_crc32_u64(a, x);
-  }
-  uint32_t b32 = static_cast<uint32_t>(b);
-  uint32_t a32 = static_cast<uint32_t>(a);
-  for (; n > 0; ++data, ++delta, --n) {
-    b32 = _mm_crc32_u8(b32, *data);
-    *data ^= *delta;
-    a32 = _mm_crc32_u8(a32, *data);
-  }
-  *before = ~b32;
-  return ~a32;
-}
-
 #else  // !RADD_CRC32C_X86: no hardware kernel; HardwareCrc32c() is false.
 
 uint32_t Crc32cExtendHardware(uint32_t crc, const uint8_t* data, size_t n) {
   return Crc32cExtendTable(crc, data, n);
-}
-
-uint32_t Crc32cXorApplyHardware(uint8_t* data, const uint8_t* delta,
-                                size_t n, uint32_t* before) {
-  return Crc32cXorApplyTable(data, delta, n, before);
 }
 
 #endif  // RADD_CRC32C_X86
@@ -247,16 +159,11 @@ uint32_t Crc32cXorApplyHardware(uint8_t* data, const uint8_t* delta,
 }  // namespace internal
 
 uint32_t Crc32cExtend(uint32_t crc, const uint8_t* data, size_t n) {
-  return Selected().extend(crc, data, n);
+  return Selected()(crc, data, n);
 }
 
 uint32_t Crc32c(const uint8_t* data, size_t n) {
   return Crc32cExtend(0, data, n);
-}
-
-uint32_t Crc32cXorApply(uint8_t* data, const uint8_t* delta, size_t n,
-                        uint32_t* before) {
-  return Selected().xor_apply(data, delta, n, before);
 }
 
 }  // namespace radd

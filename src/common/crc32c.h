@@ -30,24 +30,13 @@ uint32_t Crc32c(const uint8_t* data, size_t n);
 /// bytes, as if the two ranges had been checksummed in one call.
 uint32_t Crc32cExtend(uint32_t crc, const uint8_t* data, size_t n);
 
-/// The parity-apply pass (formula (1)) with its integrity stamps fused in:
-/// XORs `delta` into `data` (n bytes each), stores Crc32c of `data` as it
-/// was before the XOR in `*before`, and returns Crc32c of `data` after it.
-/// Each byte of `data` is read and written once.
-uint32_t Crc32cXorApply(uint8_t* data, const uint8_t* delta, size_t n,
-                        uint32_t* before);
-
 namespace internal {
 /// The two kernels behind the functions above, exposed so tests can hold
-/// them to each other. The hardware ones may only be called when
+/// them to each other. The hardware one may only be called when
 /// HardwareCrc32c() is true.
 bool HardwareCrc32c();
 uint32_t Crc32cExtendTable(uint32_t crc, const uint8_t* data, size_t n);
 uint32_t Crc32cExtendHardware(uint32_t crc, const uint8_t* data, size_t n);
-uint32_t Crc32cXorApplyTable(uint8_t* data, const uint8_t* delta, size_t n,
-                             uint32_t* before);
-uint32_t Crc32cXorApplyHardware(uint8_t* data, const uint8_t* delta,
-                                size_t n, uint32_t* before);
 }  // namespace internal
 
 }  // namespace radd

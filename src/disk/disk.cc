@@ -14,6 +14,14 @@ uint32_t StampOf(const Block& data) {
   return Stamp(Crc32c(data.data(), data.size()));
 }
 
+/// True when `rec`'s bytes no longer match its stamp. A verified record's
+/// bytes have not changed since the disk stamped them, so only an
+/// unverified one is hashed.
+bool Rotted(const BlockRecord& rec) {
+  return !rec.verified && rec.checksum != 0 &&
+         rec.checksum != StampOf(rec.data);
+}
+
 }  // namespace
 
 void SimDisk::Fail() {
@@ -68,10 +76,7 @@ Result<const BlockRecord*> SimDisk::FindReadable(BlockNum block) const {
   // End-to-end integrity: the CRC32C stamped at write time must match
   // the bytes the medium returns. A mismatch is silent corruption; report
   // it as DataLoss so the RADD layer reconstructs instead of serving rot.
-  // A verified record's bytes have not changed since the disk stamped
-  // them, so only an unverified one is hashed.
-  if (!rec.verified && rec.checksum != 0 &&
-      rec.checksum != StampOf(rec.data)) {
+  if (Rotted(rec)) {
     ++corruptions_detected_;
     return Status::DataLoss("block " + std::to_string(block) +
                             " failed checksum (silent corruption)");
@@ -141,29 +146,22 @@ Status SimDisk::ApplyMask(BlockNum block, const ChangeMask& mask, Uid uid,
   BlockRecord& rec = GetOrCreate(block);
   // Applying a delta on top of rotted parity would propagate the rot into
   // every future reconstruction of this row, so the old stamp is checked
-  // in the same pass that XORs the delta in and stamps the result; on a
-  // mismatch the XOR is undone.
-  uint32_t before = 0;
-  uint32_t after = 0;
-  if (mask.IsNoop()) {
-    before = after = Crc32c(rec.data.data(), rec.data.size());
-  } else {
-    after = Crc32cXorApply(rec.data.data(), mask.delta().data(),
-                           rec.data.size(), &before);
-  }
-  if (rec.checksum != 0 && rec.checksum != Stamp(before)) {
-    internal::XorBytes(rec.data.data(), mask.delta().data(),
-                       rec.data.size());
+  // before the delta is XORed in.
+  if (Rotted(rec)) {
     ++corruptions_detected_;
     return Status::DataLoss("parity block " + std::to_string(block) +
                             " failed checksum (silent corruption)");
   }
+  if (!mask.IsNoop()) {
+    internal::XorBytes(rec.data.data(), mask.delta().data(),
+                       rec.data.size());
+  }
+  rec.checksum = StampOf(rec.data);
+  rec.verified = true;
   if (rec.uid_array.size() < group_size) rec.uid_array.resize(group_size);
   rec.uid_array[group_position] = uid;
   // The parity block itself also becomes "valid": stamp the triggering UID.
   rec.uid = uid;
-  rec.checksum = Stamp(after);
-  rec.verified = true;
   return Status::OK();
 }
 

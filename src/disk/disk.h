@@ -15,13 +15,13 @@
 //     read fails with DataLoss until the block is rewritten;
 //   * silent corruption (bit rot) — the medium returns wrong bytes with no
 //     error. Every write stamps the record with the CRC32C of its bytes
-//     and marks it verified. Injected rot clears the mark, and a read
-//     recomputes the stamp only while the mark is clear, so each stored
-//     version is hashed once, yet every read of rotted bytes is *detected*
-//     and surfaces as DataLoss (routed to formula-(2) reconstruction by
-//     the RADD layer) instead of being returned to clients. A parity
-//     update verifies the old stamp, XORs the mask in and computes the new
-//     stamp in one pass over the block (common/crc32c.h).
+//     and marks it verified. Injected rot clears the mark; reads and
+//     parity updates recompute the stamp only while it is clear, so each
+//     stored version is hashed once, yet every read of rotted bytes is
+//     *detected* and surfaces as DataLoss (routed to formula-(2)
+//     reconstruction by the RADD layer) instead of being returned to
+//     clients, and a parity update refuses rotted parity instead of
+//     folding its delta into it.
 
 #ifndef RADD_DISK_DISK_H_
 #define RADD_DISK_DISK_H_
@@ -70,9 +70,9 @@ struct BlockRecord {
   int32_t spare_for = -1;
   /// Integrity stamp: the CRC32C of `data`, set by the disk on every write
   /// and kept nonzero (a CRC of 0 is stamped as 1), because 0 means
-  /// untracked (never-written blocks). ApplyMask always checks it, and
-  /// reads check it while `verified` is clear, so silent corruption is
-  /// detected instead of served or spread.
+  /// untracked (never-written blocks). Reads and ApplyMask check it while
+  /// `verified` is clear, so silent corruption is detected instead of
+  /// served or spread.
   uint32_t checksum = 0;
   /// True while `data` is known to match `checksum`: set by the writers,
   /// which compute the stamp themselves, and cleared by anything that

@@ -436,6 +436,39 @@ TEST(SimDiskVerifiedBit, RotAfterApplyMaskIsDetected) {
   ExpectNextRotDetected(disk);
 }
 
+// ApplyMask hashes only the result on a verified or never-written block
+// and checks the old stamp first on an unverified one; every path must
+// leave the stamp a Write of the same bytes would carry.
+TEST(SimDiskVerifiedBit, ApplyMaskStampsLikeAWriteOnEveryPath) {
+  SimDisk disk(4, 256);
+  const Block zeros(256);
+  ASSERT_TRUE(disk.Write(0, Pat(4), Uid::Make(1, 1)).ok());
+  const uint32_t want = disk.Read(0)->checksum;
+  const ChangeMask to4 = ChangeMask::Diff(Pat(3), Pat(4)).value();
+  const ChangeMask noop = ChangeMask::Diff(Pat(4), Pat(4)).value();
+  ASSERT_TRUE(noop.IsNoop());
+  // Verified: the plain XOR, then a no-op on the result.
+  ASSERT_TRUE(disk.Write(1, Pat(3), Uid::Make(1, 2)).ok());
+  ASSERT_TRUE(disk.ApplyMask(1, to4, Uid::Make(2, 1), 0, 3).ok());
+  ASSERT_TRUE(disk.ApplyMask(1, noop, Uid::Make(2, 2), 1, 3).ok());
+  // Never written: untracked zeros take the same path.
+  ASSERT_TRUE(disk.ApplyMask(2, ChangeMask::Diff(zeros, Pat(4)).value(),
+                             Uid::Make(2, 3), 0, 3)
+                  .ok());
+  // Unverified but intact (zero bits flipped): the old stamp is checked.
+  ASSERT_TRUE(disk.Write(3, Pat(3), Uid::Make(1, 3)).ok());
+  ASSERT_TRUE(disk.CorruptBlock(3, /*seed=*/9, /*bits=*/0).value());
+  ASSERT_TRUE(disk.ApplyMask(3, to4, Uid::Make(2, 4), 0, 3).ok());
+  for (BlockNum b : {1, 2, 3}) {
+    Result<BlockRecord> r = disk.Read(b);
+    ASSERT_TRUE(r.ok()) << b;
+    EXPECT_EQ(r->data, Pat(4)) << b;
+    EXPECT_EQ(r->checksum, want) << b;
+  }
+  EXPECT_EQ(disk.corruptions_detected(), 0u);
+  ExpectNextRotDetected(disk);
+}
+
 TEST(SimDiskVerifiedBit, RotAfterRefusedApplyMaskIsDetected) {
   SimDisk disk(4, 256);
   ASSERT_TRUE(disk.Write(kRotBlock, Pat(3), Uid::Make(1, 1)).ok());

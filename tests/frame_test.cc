@@ -642,40 +642,6 @@ TEST(Crc32cKernels, MalformedCorpusHashesAlikeAndIsRejected) {
   }
 }
 
-TEST(Crc32cKernels, FusedXorApplyMatchesSeparatePasses) {
-  Rng rng(0xC5D);
-  std::vector<uint8_t> data(8192 + 8), delta(8192 + 8);
-  for (auto& b : data) b = static_cast<uint8_t>(rng.Next());
-  for (auto& b : delta) b = static_cast<uint8_t>(rng.Next());
-  const bool hw = internal::HardwareCrc32c();
-  for (size_t n = 0; n <= 8192; n += (n < 200 ? 1 : 61)) {
-    const size_t align = n % 8;
-    std::vector<uint8_t> want = data;
-    for (size_t i = 0; i < n; ++i) want[align + i] ^= delta[align + i];
-    const uint32_t want_before = Crc32c(data.data() + align, n);
-    const uint32_t want_after = Crc32c(want.data() + align, n);
-
-    std::vector<uint8_t> got = data;
-    uint32_t before = 0;
-    EXPECT_EQ(internal::Crc32cXorApplyTable(got.data() + align,
-                                            delta.data() + align, n, &before),
-              want_after)
-        << n;
-    EXPECT_EQ(before, want_before) << n;
-    EXPECT_EQ(got, want) << n;
-    if (hw) {
-      got = data;
-      before = 0;
-      EXPECT_EQ(internal::Crc32cXorApplyHardware(
-                    got.data() + align, delta.data() + align, n, &before),
-                want_after)
-          << n;
-      EXPECT_EQ(before, want_before) << n;
-      EXPECT_EQ(got, want) << n;
-    }
-  }
-}
-
 // ---------------------------------------------------------------------------
 // FrameCounters bookkeeping.
 // ---------------------------------------------------------------------------
